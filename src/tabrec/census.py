@@ -9,9 +9,9 @@ constructive reconstruction against the census grouping.
 """
 
 import json
+import os
 import time
 from dataclasses import dataclass, replace
-from multiprocessing import Pool
 
 from .core import (
     StandardTableau,
@@ -152,15 +152,9 @@ class DifferentialReport:
 
 
 def _census_shard(shape, k, mode):
-    """Deck keys for every tableau of one shape; runs in worker processes."""
-    out = []
-    for t in enumerate_syt(shape):
-        if mode == "set":
-            key = minor_set(t, k).to_text()
-        else:
-            key = minor_multiset(t, k).to_text()
-        out.append((key, t.sort_key(), t.to_text()))
-    return out
+    """(deck text, tableau) for each tableau of one shape; runs in workers."""
+    minors = minor_set if mode == "set" else minor_multiset
+    return [(minors(t, k).to_text(), t) for t in enumerate_syt(shape)]
 
 
 def census(
@@ -172,9 +166,9 @@ def census(
 ) -> CensusReport:
     """Group all of 𝒴ₙ by canonical deck encoding; report collisions.
 
-    Work is partitioned by shape across ``jobs`` processes; the merge
-    sorts classes by key and members canonically, so the report is
-    identical for any worker count.
+    Work is partitioned by shape across ``jobs`` processes (at most one
+    per shape and CPU); the merge sorts classes by key and members
+    canonically, so the report is identical for any worker count.
     """
     if n < 1:
         raise OutOfRangeError(f"census needs n >= 1, got {n}")
@@ -182,6 +176,8 @@ def census(
         raise OutOfRangeError(f"census needs 1 <= k < n, got k={k}")
     if mode not in ("set", "multiset"):
         raise TableauError(f"mode must be set or multiset, got {mode!r}")
+    if jobs < 1:
+        raise OutOfRangeError(f"census needs jobs >= 1, got {jobs}")
     cap = DEFAULT_CENSUS_CAP if cap is None else cap
     expected = involution_count(n)
     if expected > cap:
@@ -190,22 +186,26 @@ def census(
         )
     start = time.perf_counter()
     args = [(shape, k, mode) for shape in enumerate_partitions(n)]
-    if jobs <= 1 or len(args) == 1:
+    processes = min(jobs, len(args), os.cpu_count() or 1)
+    if processes == 1:
         shards = [_census_shard(*a) for a in args]
     else:
-        with Pool(processes=jobs) as pool:
+        # imported here: it is costly to import and serial runs never need it
+        from multiprocessing import Pool
+
+        with Pool(processes=processes) as pool:
             shards = pool.starmap(_census_shard, args)
-    groups: dict[str, list] = {}
+    groups: dict[str, list[StandardTableau]] = {}
     for shard in shards:
-        for key, sort_key, text in shard:
-            groups.setdefault(key, []).append((sort_key, text))
+        for key, tableau in shard:
+            groups.setdefault(key, []).append(tableau)
     total = sum(len(g) for g in groups.values())
     if total != expected:
         raise VerificationError(
             f"enumerated {total} tableaux at n={n}, recurrence says {expected}"
         )
     classes = tuple(
-        tuple(StandardTableau.from_text(text) for _, text in sorted(group))
+        tuple(sorted(group))
         for key, group in sorted(groups.items())
         if len(group) >= 2
     )
@@ -329,39 +329,27 @@ def differential_check(
     violations: list[str] = []
     if n == 1:
         # the census needs a minor order below n, so check 𝒴₁ directly
-        set_classes: tuple = ()
-        multiset_classes: tuple = ()
-        total = 1
+        set_classes = multiset_classes = ()
     else:
-        set_report = census(n, 1, "set", jobs=jobs, cap=cap)
-        multiset_report = census(n, 1, "multiset", jobs=jobs, cap=cap)
-        set_classes = set_report.classes
-        multiset_classes = multiset_report.classes
-        total = set_report.total
-    in_set_class = {t: cls for cls in set_classes for t in cls}
-    in_multiset_class = {t: cls for cls in multiset_classes for t in cls}
+        set_classes = census(n, 1, "set", jobs=jobs, cap=cap).classes
+        multiset_classes = census(n, 1, "multiset", jobs=jobs, cap=cap).classes
+    # census checks its total against this count
+    total = involution_count(n)
+    modes = (
+        ("set", set_classes, minor_set, reconstruct_from_set),
+        ("multiset", multiset_classes, minor_multiset, reconstruct_from_multiset),
+    )
     for t in enumerate_syt_all(n):
-        expect_set = (
-            Ambiguous(in_set_class[t]) if t in in_set_class else Unique(t)
-        )
-        expect_multiset = (
-            Ambiguous(in_multiset_class[t])
-            if t in in_multiset_class
-            else Unique(t)
-        )
-        got_set = reconstruct_from_set(minor_set(t, 1))
-        got_multiset = reconstruct_from_multiset(minor_multiset(t, 1))
-        if got_set != expect_set:
-            violations.append(
-                f"set deck of {t.to_text()!r}: got {format_outcome(got_set)!r}, "
-                f"census says {format_outcome(expect_set)!r}"
-            )
-        if got_multiset != expect_multiset:
-            violations.append(
-                f"multiset deck of {t.to_text()!r}: got "
-                f"{format_outcome(got_multiset)!r}, census says "
-                f"{format_outcome(expect_multiset)!r}"
-            )
+        for mode, classes, minors, rebuild in modes:
+            cls = next((c for c in classes if t in c), None)
+            expect = Unique(t) if cls is None else Ambiguous(cls)
+            got = rebuild(minors(t, 1))
+            if got != expect:
+                violations.append(
+                    f"{mode} deck of {t.to_text()!r}: got "
+                    f"{format_outcome(got)!r}, census says "
+                    f"{format_outcome(expect)!r}"
+                )
     return DifferentialReport(
         n=n,
         total=total,

@@ -45,6 +45,16 @@ def _parse_shape(text: str):
         ) from None
 
 
+def _parse_jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tabrec",
@@ -98,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--multiset", action="store_true", help="group by multiset decks"
     )
     p.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (default 1)"
+        "--jobs", type=_parse_jobs, default=1, help="worker processes (default 1)"
     )
     p.add_argument(
         "--json", action="store_true", help="emit the report as JSON"
@@ -165,10 +175,8 @@ def _cmd_delete(args) -> int:
 
 def _cmd_minors(args) -> int:
     tableau = StandardTableau.from_text(args.tableau)
-    if args.multiset:
-        print(minor_multiset(tableau, args.k).to_text())
-    else:
-        print(minor_set(tableau, args.k).to_text())
+    minors = minor_multiset if args.multiset else minor_set
+    print(minors(tableau, args.k).to_text())
     return 0
 
 

@@ -6,8 +6,8 @@ Conventions used throughout the package:
   order; the empty tuple is the unique partition of 0.
 * Cells are 1-based ``(row, col)`` pairs, row 1 at the top, column 1 at
   the left.
-* Tableaux are immutable and validated on construction, so any
-  ``StandardTableau`` in circulation satisfies all invariants.
+* Tableaux are immutable.  The public constructor validates its input;
+  tableaux the package derives from valid ones skip that check.
 """
 
 from itertools import chain
@@ -131,6 +131,15 @@ class StandardTableau:
                 raise OrderError(f"column {j + 1} is not strictly increasing")
         self._hash = hash(self.rows)
 
+    @classmethod
+    def _make(cls, rows: Iterable[Iterable[int]]) -> "StandardTableau":
+        """Build from rows known to form a standard tableau, unchecked."""
+        tableau = object.__new__(cls)
+        tableau.rows = tuple(map(tuple, rows))
+        tableau.shape = tuple(map(len, tableau.rows))
+        tableau._hash = hash(tableau.rows)
+        return tableau
+
     @property
     def n(self) -> int:
         """Number of entries."""
@@ -157,7 +166,7 @@ class StandardTableau:
             tuple(row[j] for row in self.rows if len(row) > j)
             for j in range(self.shape[0])
         ]
-        return StandardTableau(cols)
+        return StandardTableau._make(cols)
 
     def row_word(self) -> tuple[int, ...]:
         """All entries read row by row, top to bottom."""
@@ -246,32 +255,22 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
 def enumerate_syt(shape: Iterable[int]) -> list[StandardTableau]:
     """Every standard tableau of ``shape``, sorted by row-reading word.
 
-    Backtracks over placements of 1..n: entry v may go in any cell whose
-    left and upper neighbours are already filled.
+    Grows all partial fillings one entry at a time: entry v may go at
+    the end of any row that is shorter than its part and than the row
+    above it.
     """
     shape = check_partition(shape)
-    n = sum(shape)
-    if n == 0:
-        return [StandardTableau(())]
-    rows = [[0] * p for p in shape]
-    filled = [0] * len(shape)
-    out: list[StandardTableau] = []
-
-    def place(v: int) -> None:
-        if v > n:
-            out.append(StandardTableau(rows))
-            return
-        for i in range(len(shape)):
-            j = filled[i]
-            if j < shape[i] and (i == 0 or filled[i - 1] > j):
-                rows[i][j] = v
-                filled[i] += 1
-                place(v + 1)
-                filled[i] -= 1
-
-    place(1)
-    out.sort()
-    return out
+    fillings = [((),) * len(shape)]
+    for v in range(1, sum(shape) + 1):
+        fillings = [
+            rows[:i] + (row + (v,),) + rows[i + 1:]
+            for rows in fillings
+            for i, row in enumerate(rows)
+            if len(row) < shape[i] and (i == 0 or len(rows[i - 1]) > len(row))
+        ]
+    # equal shapes make row-by-row order the row-reading-word order
+    fillings.sort()
+    return [StandardTableau._make(rows) for rows in fillings]
 
 
 def enumerate_syt_all(n: int) -> Iterator[StandardTableau]:

@@ -2,10 +2,11 @@
 
 The constructive pipeline recovers, in order: the shape, the cell of the
 largest entry n, and the deck of the size-(n-1) tableau obtained by
-deleting n.  Recursing on the reduced deck bottoms out at shapes that
-are decided directly: single rows and columns, two-row (or two-column)
-shapes whose second line has one cell, and the shapes (3,2) and (2,2,1),
-which are matched against a frozen table of their five possible decks.
+deleting n.  One pass per level repeats this on the reduced deck until
+a shape is decided directly: single rows and columns, two-row (or
+two-column) shapes whose second line has one cell, and the shapes (3,2)
+and (2,2,1), which are matched against a frozen table of their five
+possible decks; then each level's n goes back in at its located cell.
 The pipeline is complete for n >= 5; for n <= 4 exhaustive search gives
 a total answer (Unique, Ambiguous with all candidates, or Invalid).
 """
@@ -26,7 +27,6 @@ from .taquin import (
     Deck,
     DeckMultiset,
     NotADeckError,
-    delete_entry,
     minor_multiset,
     minor_set,
 )
@@ -144,10 +144,14 @@ def locate_max(deck: Deck) -> Cell:
     once n >= 4.
     """
     _check_one_minor_deck(deck)
+    return _locate_max(deck, reconstruct_shape(deck) if deck.n >= 4 else ())
+
+
+def _locate_max(deck: Deck, shape: Partition) -> Cell:
+    """locate_max given the deck's shape; below n = 4 the shape is unused."""
     n = deck.n
     if n < 4:
         raise TooSmallError(f"location of n is not determined for n={n} < 4")
-    shape = reconstruct_shape(deck)
     corners = outer_corners(shape)
     if len(corners) == 1:
         return corners[0]
@@ -194,18 +198,25 @@ def locate_max(deck: Deck) -> Cell:
 def reduce_deck(deck: Deck) -> Deck:
     """Deck of T - n, obtained by deleting n-1 from every member.
 
-    In every 1-minor of T the entry n-1 sits in an outer corner, so
-    these deletions never slide or renumber anything; deduplication
-    absorbs the one coincidence (deleting n-1 from T-(n-1) and from T-n
-    gives the same tableau).
+    In every 1-minor of T the entry n-1 is the largest, so it ends its
+    row in an outer corner: deleting it drops that cell, with no slide
+    and no renumbering.  Deduplication absorbs the one coincidence
+    (deleting n-1 from T-(n-1) and from T-n gives the same tableau).
     """
     _check_one_minor_deck(deck)
     n = deck.n
     if n < 2:
         raise NotADeckError(f"no deck to reduce at n={n}")
-    return Deck(
-        (delete_entry(member, n - 1) for member in deck.members), 1, n - 1
-    )
+    top = n - 1
+    members = [
+        StandardTableau._make(
+            row[:-1] if row[-1] == top else row
+            for row in member.rows
+            if row != (top,)
+        )
+        for member in deck.members
+    ]
+    return Deck(members, 1, top)
 
 
 _BASE_32_TEXT = {
@@ -244,12 +255,12 @@ def reconstruct_base(deck: Deck, shape: Partition) -> StandardTableau:
     """
     n = deck.n
     if shape == (n,):
-        return StandardTableau([range(1, n + 1)])
+        return StandardTableau._make([range(1, n + 1)])
     if shape == (1,) * n:
-        return StandardTableau([v] for v in range(1, n + 1))
+        return StandardTableau._make([v] for v in range(1, n + 1))
     if n >= 4 and shape == (n - 1, 1):
         if locate_max(deck) == (2, 1):
-            return StandardTableau([range(1, n), [n]])
+            return StandardTableau._make([range(1, n), [n]])
         second = max(
             (
                 member.entry_at((2, 1))
@@ -260,7 +271,7 @@ def reconstruct_base(deck: Deck, shape: Partition) -> StandardTableau:
         )
         if second < 2:
             raise NoMatchError("no member shows a second-row entry")
-        return StandardTableau(
+        return StandardTableau._make(
             [[v for v in range(1, n + 1) if v != second], [second]]
         )
     if n >= 4 and shape == (2,) + (1,) * (n - 2):
@@ -292,43 +303,38 @@ def _insert_at(tableau: StandardTableau, cell: Cell, value: int) -> StandardTabl
         raise NotADeckError(
             f"cell {cell} is not addable to shape {tableau.shape}"
         )
-    return StandardTableau(rows)
+    return StandardTableau._make(rows)
 
 
 def _reconstruct_inductive(deck: Deck) -> StandardTableau:
     """Pipeline of shape recovery, max location and deck reduction.
 
-    Terminal at base shapes; all other shapes recurse on the reduced
-    deck and re-insert n at the located cell.  Never falls back to
-    exhaustive search, so a deck that is not a genuine 1-minor set
-    surfaces as an error somewhere along the pipeline.
+    Reduces the deck level by level down to a base shape, then inserts
+    each level's n at its located cell, innermost first.  Never falls
+    back to exhaustive search, so a deck that is not a genuine 1-minor
+    set surfaces as an error somewhere along the pipeline.
     """
+    cells = []
     shape = reconstruct_shape(deck)
-    n = deck.n
-    if _is_base_shape(shape, n):
-        return reconstruct_base(deck, shape)
-    cell = locate_max(deck)
-    smaller = _reconstruct_inductive(reduce_deck(deck))
-    return _insert_at(smaller, cell, n)
+    while not _is_base_shape(shape, deck.n):
+        cells.append(_locate_max(deck, shape))
+        deck = reduce_deck(deck)
+        shape = reconstruct_shape(deck)
+    tableau = reconstruct_base(deck, shape)
+    for cell in reversed(cells):
+        tableau = _insert_at(tableau, cell, tableau.n + 1)
+    return tableau
 
 
-def _exhaustive_set(deck: Deck) -> Outcome:
+def _exhaustive_set(deck: Deck | DeckMultiset) -> Outcome:
+    """Outcome by trying every size-n tableau; ``deck`` may be a multiset."""
+    kind = "multiset" if isinstance(deck, DeckMultiset) else "set"
+    minors = minor_multiset if kind == "multiset" else minor_set
     candidates = [
-        t for t in enumerate_syt_all(deck.n) if minor_set(t, 1) == deck
+        t for t in enumerate_syt_all(deck.n) if minors(t, 1) == deck
     ]
     if not candidates:
-        return Invalid("no tableau has this set of 1-minors")
-    if len(candidates) == 1:
-        return Unique(candidates[0])
-    return Ambiguous(tuple(candidates))
-
-
-def _exhaustive_multiset(cards: DeckMultiset) -> Outcome:
-    candidates = [
-        t for t in enumerate_syt_all(cards.n) if minor_multiset(t, 1) == cards
-    ]
-    if not candidates:
-        return Invalid("no tableau has this multiset of 1-minors")
+        return Invalid(f"no tableau has this {kind} of 1-minors")
     if len(candidates) == 1:
         return Unique(candidates[0])
     return Ambiguous(tuple(candidates))
@@ -367,7 +373,7 @@ def reconstruct_from_multiset(cards: DeckMultiset) -> Outcome:
     if cards.k != 1:
         return Invalid(f"expected a deck of 1-minors, got k={cards.k}")
     if cards.n <= 4:
-        return _exhaustive_multiset(cards)
+        return _exhaustive_set(cards)
     try:
         support = cards.support()
     except TableauError as exc:

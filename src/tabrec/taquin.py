@@ -70,7 +70,7 @@ def delete_entry(tableau: StandardTableau, m: int) -> StandardTableau:
     tableau.
     """
     _, rows = _slide(tableau, m)
-    return StandardTableau(
+    return StandardTableau._make(
         [[v - 1 if v > m else v for v in row] for row in rows]
     )
 
@@ -83,6 +83,18 @@ def slide_path(tableau: StandardTableau, m: int) -> tuple[Cell, ...]:
     """
     path, _ = _slide(tableau, m)
     return tuple(path)
+
+
+def _check_sizes(members, k: int, n: int, noun: str) -> None:
+    """Deck members must have n - k entries, with k in 0..n."""
+    if not 0 <= k <= n:
+        raise OutOfRangeError(f"minor order {k} outside 0..{n}")
+    for member in members:
+        if member.n != n - k:
+            raise NotADeckError(
+                f"{noun} {member.to_text()!r} has {member.n} entries, "
+                f"expected {n - k}"
+            )
 
 
 class Deck:
@@ -98,14 +110,7 @@ class Deck:
         self.members = tuple(sorted(set(members), key=StandardTableau.sort_key))
         self.k = int(k)
         self.n = int(n)
-        if not 0 <= self.k <= self.n:
-            raise OutOfRangeError(f"minor order {k} outside 0..{n}")
-        for member in self.members:
-            if member.n != self.n - self.k:
-                raise NotADeckError(
-                    f"member {member.to_text()!r} has {member.n} entries, "
-                    f"expected {self.n - self.k}"
-                )
+        _check_sizes(self.members, self.k, self.n, "member")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Deck):
@@ -174,14 +179,7 @@ class DeckMultiset:
         )
         self.k = int(k)
         self.n = int(n)
-        if not 0 <= self.k <= self.n:
-            raise OutOfRangeError(f"minor order {k} outside 0..{n}")
-        for member, _ in self.cards:
-            if member.n != self.n - self.k:
-                raise NotADeckError(
-                    f"card {member.to_text()!r} has {member.n} entries, "
-                    f"expected {self.n - self.k}"
-                )
+        _check_sizes((m for m, _ in self.cards), self.k, self.n, "card")
         if self.k == 1 and self.total() != self.n:
             raise NotADeckError(
                 f"1-minor multiset has total multiplicity {self.total()}, "

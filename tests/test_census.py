@@ -290,3 +290,40 @@ def test_verify_suite_registry_and_results():
     }
     for name, max_n in expectations.items():
         assert VERIFY_SUITES[name](max_n) == [], name
+
+
+def test_census_jobs_bounds(monkeypatch):
+    with pytest.raises(OutOfRangeError):
+        census(4, 1, "set", jobs=0)
+    with pytest.raises(OutOfRangeError):
+        census(4, 1, "set", jobs=-1)
+
+    import multiprocessing
+    import os
+
+    started = []
+
+    class FakePool:
+        """Runs the shards in this process and records the pool size."""
+
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, args):
+            return [fn(*a) for a in args]
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    serial = census(6, 1, "set").to_text()
+    assert started == []
+    # n = 6 has 11 shapes: the pool size is capped by CPUs, then shapes
+    for cpus, want in ((4, 4), (64, 11), (None, None)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        started.clear()
+        assert census(6, 1, "set", jobs=10**6).to_text() == serial
+        assert started == ([] if want is None else [want])

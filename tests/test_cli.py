@@ -297,3 +297,46 @@ def test_console_script_on_path():
     )
     assert proc.returncode == 0
     assert proc.stdout == CENSUS_N4_MULTISET
+
+
+def test_serial_run_never_imports_multiprocessing():
+    code = (
+        "import sys; from tabrec.cli import run; "
+        "status = run(['census', '--n', '4']); "
+        "print(status, 'multiprocessing' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+def test_census_rejects_jobs_below_one(capsys):
+    for jobs in ("0", "-3", "two"):
+        status, out, err = invoke(capsys, "census", "--n", "4", "--jobs", jobs)
+        assert status == 2
+        assert out == ""
+        assert "--jobs" in err
+
+
+def test_enumerate_single_row_of_1100(capsys):
+    status, out, err = invoke(
+        capsys, "enumerate", "--n", "1100", "--shape", "1100"
+    )
+    assert status == 0
+    assert err == ""
+    assert out == " ".join(str(v) for v in range(1, 1101)) + "\n"
+
+
+def test_reconstruct_deep_deck_expect_unique(capsys, monkeypatch):
+    # 1100 levels: far deeper than the interpreter's recursion limit
+    t = StandardTableau([[1, 2, *range(5, 1101)], [3, 4]])
+    feed(monkeypatch, minor_set(t, 1).to_text())
+    status, out, err = invoke(capsys, "reconstruct", "--expect-unique")
+    assert status == 0
+    assert err == ""
+    assert out == f"unique {t.to_text()}\n"

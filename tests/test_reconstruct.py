@@ -9,6 +9,7 @@ small sizes, leaving the largest sizes to the acceptance suite.
 import pytest
 
 from tabrec.core import StandardTableau, enumerate_syt, enumerate_syt_all
+from tabrec.core import TableauError
 from tabrec.reconstruct import (
     Ambiguous,
     Invalid,
@@ -249,3 +250,109 @@ def test_unique_outcomes_are_sound():
             outcome = reconstruct_from_set(deck)
             assert isinstance(outcome, Unique)
             assert minor_set(outcome.tableau, 1) == deck
+
+
+def test_reduce_deck_matches_delete_entry():
+    # reduce_deck drops the cell of n-1; a full jeu-de-taquin deletion
+    # is the reference
+    for n in range(1, 9):
+        for u in enumerate_syt_all(n):
+            assert reduce_deck(Deck([u], 1, u.n + 1)) == Deck(
+                [delete_entry(u, u.n)], 1, u.n
+            )
+
+
+def test_unchecked_tableaux_pass_validation():
+    # every tableau the package builds without checks passes them
+    for n in range(8):
+        for t in enumerate_syt_all(n):
+            built = [t, t.transpose()]
+            built.extend(delete_entry(t, m) for m in range(1, n + 1))
+            if n >= 2:
+                built.extend(reduce_deck(minor_set(t, 1)))
+            if n >= 5:
+                built.append(reconstruct_from_set(minor_set(t, 1)).tableau)
+            for x in built:
+                checked = StandardTableau(x.rows)
+                assert checked == x
+                assert checked.shape == x.shape
+                assert hash(checked) == hash(x)
+
+
+def reference_inductive(deck):
+    """The recursive pipeline, from the public lemma functions, with deck
+    reduction by full jeu-de-taquin deletion."""
+    shape = reconstruct_shape(deck)
+    try:
+        return reconstruct_base(deck, shape)
+    except UnsupportedShapeError:
+        pass
+    n = deck.n
+    r, c = locate_max(deck)
+    reduced = Deck((delete_entry(m, n - 1) for m in deck), 1, n - 1)
+    rows = [list(row) for row in reference_inductive(reduced).rows]
+    if r == len(rows) + 1 and c == 1:
+        rows.append([n])
+    elif 1 <= r <= len(rows) and c == len(rows[r - 1]) + 1:
+        rows[r - 1].append(n)
+    else:
+        shape = tuple(len(row) for row in rows)
+        raise NotADeckError(f"cell {(r, c)} is not addable to shape {shape}")
+    return StandardTableau(rows)
+
+
+def reference_from_set(deck):
+    try:
+        candidate = reference_inductive(deck)
+    except TableauError as exc:
+        return Invalid(str(exc))
+    if minor_set(candidate, 1) != deck:
+        return Invalid("reconstructed candidate has a different deck")
+    return Unique(candidate)
+
+
+def reference_from_multiset(cards):
+    try:
+        support = cards.support()
+    except TableauError as exc:
+        return Invalid(str(exc))
+    outcome = reference_from_set(support)
+    if isinstance(outcome, Unique):
+        if minor_multiset(outcome.tableau, 1) != cards:
+            return Invalid("reconstructed candidate has a different multiset")
+    return outcome
+
+
+def test_pipeline_matches_recursive_reference_on_perturbed_decks():
+    for n in range(5, 8):
+        tableaux = list(enumerate_syt_all(n))
+        for i, t in enumerate(tableaux):
+            deck = minor_set(t, 1)
+            cards = minor_multiset(t, 1)
+            decks = [deck]
+            decks.extend(
+                Deck(deck.members[:j] + deck.members[j + 1:], 1, n)
+                for j in range(len(deck))
+            )
+            other = minor_set(tableaux[(i + 1) % len(tableaux)], 1)
+            decks.extend(
+                Deck(deck.members + (m,), 1, n)
+                for m in other
+                if m not in deck
+            )
+            multisets = [cards]
+            for (a, x), (b, y) in zip(cards.cards, cards.cards[1:]):
+                if x != y:
+                    swapped = dict(cards.cards)
+                    swapped[a], swapped[b] = y, x
+                    multisets.append(DeckMultiset(swapped.items(), 1, n))
+            for d in decks:
+                assert reconstruct_from_set(d) == reference_from_set(d)
+            for m in multisets:
+                assert reconstruct_from_multiset(m) == reference_from_multiset(m)
+
+
+def test_deep_deck_reconstructs_without_recursion():
+    # 1100 levels: far deeper than the interpreter's recursion limit
+    t = StandardTableau([[1, 2, *range(5, 1101)], [3, 4]])
+    assert reconstruct_from_set(minor_set(t, 1)) == Unique(t)
