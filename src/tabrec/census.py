@@ -41,6 +41,7 @@ from .taquin import (
 )
 
 DEFAULT_CENSUS_CAP = 10**6
+MAX_HBOUND_N = 1000  # verify_proposition's O(n^2) deletions take ~1 s here
 
 # number of tableaux with n entries: a(n) = a(n-1) + (n-1) a(n-2),
 # kept as an independent cross-check on the enumeration
@@ -255,11 +256,15 @@ def verify_proposition(n: int) -> HBoundReport:
     over k (third row 2k when n is odd), and one copy of the single row
     1..2k-1 (over 2k when n is odd).
     """
+    if n > MAX_HBOUND_N:
+        raise ResourceLimitError(f"n={n} exceeds the cap of {MAX_HBOUND_N}")
     t1, t2 = proposition_pair(n)
     if t1 == t2:
         raise VerificationError(f"witness pair coincides at n={n}")
     claimed = n // 2 + 1
-    common = common_minor_count(t1, t2)
+    c1 = minor_multiset(t1, 1).counter()
+    c2 = minor_multiset(t2, 1).counter()
+    common = sum((c1 & c2).values())
     if common < claimed:
         raise VerificationError(
             f"witness pair shares {common} < {claimed} 1-minors at n={n}"
@@ -272,8 +277,6 @@ def verify_proposition(n: int) -> HBoundReport:
         single_rows.append([2 * k])
     repeated = StandardTableau(repeated_rows)
     single = StandardTableau(single_rows)
-    c1 = minor_multiset(t1, 1).counter()
-    c2 = minor_multiset(t2, 1).counter()
     if c1[repeated] < k or c2[repeated] < k:
         raise VerificationError(
             f"repeated minor occurs {c1[repeated]} and {c2[repeated]} "
@@ -292,7 +295,8 @@ def compute_H1_exact(n: int, force: bool = False) -> int:
     A size-m submultiset of one multiset fits inside another exactly
     when m is at most their intersection size, so the answer is one more
     than the largest intersection over all pairs of distinct tableaux.
-    Pairwise work grows fast; n > 9 requires ``force``.
+    An index from each 1-minor to the earlier tableaux holding it skips
+    pairs that share no minor; n > 9 requires ``force``.
     """
     if n < 5:
         raise TooSmallError(
@@ -304,13 +308,15 @@ def compute_H1_exact(n: int, force: bool = False) -> int:
             f"{involution_count(n)} tableaux make too many pairs at n={n}; "
             f"pass force=True to override"
         )
-    counters = [minor_multiset(t, 1).counter() for t in enumerate_syt_all(n)]
+    holders: dict[StandardTableau, list[tuple[int, int]]] = {}
     best = 0
-    for i, left in enumerate(counters):
-        for right in counters[i + 1:]:
-            size = sum((left & right).values())
-            if size > best:
-                best = size
+    for i, tableau in enumerate(enumerate_syt_all(n)):
+        shared: dict[int, int] = {}
+        for minor, mult in minor_multiset(tableau, 1).cards:
+            for j, other in holders.get(minor, ()):
+                shared[j] = shared.get(j, 0) + min(mult, other)
+            holders.setdefault(minor, []).append((i, mult))
+        best = max(best, max(shared.values(), default=0))
     return best + 1
 
 

@@ -111,7 +111,9 @@ class StandardTableau:
     __slots__ = ("rows", "shape", "_hash")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        self.rows = tuple(tuple(int(v) for v in row) for row in rows)
+        self.rows = tuple(map(tuple, rows))
+        if any(type(v) is not int for v in chain.from_iterable(self.rows)):
+            raise EntryError("entries must be integers (bool excluded)")
         self.shape = check_partition(len(row) for row in self.rows)
         n = sum(self.shape)
         seen = sorted(chain.from_iterable(self.rows))
@@ -201,8 +203,11 @@ class StandardTableau:
     @classmethod
     def from_record(cls, record: dict) -> "StandardTableau":
         """Inverse of to_record; the shape field must match the rows."""
-        tableau = cls(record["rows"])
-        if tuple(record["shape"]) != tableau.shape:
+        try:
+            tableau, shape = cls(record["rows"]), tuple(record["shape"])
+        except (KeyError, TypeError) as exc:
+            raise TableauError(f"malformed tableau record: {exc!r}") from None
+        if shape != tableau.shape:
             raise ShapeError(
                 f"record shape {record['shape']} does not match rows "
                 f"{list(tableau.shape)}"

@@ -263,9 +263,13 @@ def _parse_deck_lines(text: str, multiset: bool):
     cards = []
     for line in body:
         member_text, sep, mult_text = line.rpartition(" x")
-        if not sep or not mult_text.isdigit():
-            raise NotADeckError(f"missing multiplicity suffix in {line!r}")
-        cards.append((StandardTableau.from_text(member_text), int(mult_text)))
+        try:
+            if not sep or not mult_text.isdecimal():
+                raise ValueError(mult_text)
+            mult = int(mult_text)  # fails past int()'s digit limit too
+        except ValueError:
+            raise NotADeckError(f"missing multiplicity suffix in {line!r}") from None
+        cards.append((StandardTableau.from_text(member_text), mult))
     return k, n, cards
 
 

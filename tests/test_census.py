@@ -13,6 +13,7 @@ from itertools import combinations
 
 import pytest
 
+from tabrec.census import MAX_HBOUND_N
 from tabrec.census import (
     CensusReport,
     ResourceLimitError,
@@ -327,3 +328,33 @@ def test_census_jobs_bounds(monkeypatch):
         started.clear()
         assert census(6, 1, "set", jobs=10**6).to_text() == serial
         assert started == ([] if want is None else [want])
+
+
+def h1_all_pairs(n):
+    """One more than the largest 1-minor multiset intersection, taken by
+    intersecting every pair of distinct size-n tableaux directly."""
+    counters = [minor_multiset(t, 1).counter() for t in enumerate_syt_all(n)]
+    best = 0
+    for i, left in enumerate(counters):
+        for right in counters[i + 1:]:
+            best = max(best, sum((left & right).values()))
+    return best + 1
+
+
+def test_h1_matches_all_pairs_oracle():
+    for n in range(5, 9):
+        assert compute_H1_exact(n) == h1_all_pairs(n), n
+
+
+def test_h1_exact_at_nine():
+    # h1_all_pairs(9) also gives 7, but takes about 13 s on a 2-core Xeon,
+    # too long to repeat on every run
+    assert compute_H1_exact(9) == 7
+
+
+def test_verify_proposition_size_cap():
+    assert verify_proposition(MAX_HBOUND_N).n == MAX_HBOUND_N
+    with pytest.raises(ResourceLimitError, match=str(MAX_HBOUND_N)):
+        verify_proposition(MAX_HBOUND_N + 1)
+    with pytest.raises(ResourceLimitError):
+        verify_proposition(10**12)

@@ -340,3 +340,10 @@ def test_reconstruct_deep_deck_expect_unique(capsys, monkeypatch):
     assert status == 0
     assert err == ""
     assert out == f"unique {t.to_text()}\n"
+
+
+def test_hbound_rejects_n_above_cap(capsys):
+    status, out, err = invoke(capsys, "hbound", "--n", "1001")
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error:") and "1000" in err

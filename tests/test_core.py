@@ -313,3 +313,26 @@ def test_enumerate_syt_all_streams_by_shape_order():
     shapes = [t.shape for t in tableaux]
     assert shapes == sorted(shapes, reverse=True)
     assert len(set(tableaux)) == 10
+
+
+def test_validate_rejects_non_integer_entries():
+    for rows in ([[1.9, 2.2]], [[True]], [[1, 2.0]], [["1"]]):
+        with pytest.raises(EntryError, match="must be integers"):
+            StandardTableau(rows)
+    with pytest.raises(EntryError, match="must be integers"):
+        StandardTableau.from_record({"rows": [[1.5, 2]], "shape": [2]})
+    assert StandardTableau([[1, 2], [3]]).to_text() == "1 2 / 3"
+
+
+def test_from_record_rejects_malformed_records():
+    for record in (
+        {"rows": [[1, 2]]},
+        {"shape": [2]},
+        [[1, 2]],
+        "1 2",
+        {"rows": 5, "shape": [1]},
+        {"rows": [5], "shape": [1]},
+        {"rows": [[1, 2]], "shape": 2},
+    ):
+        with pytest.raises(TableauError):
+            StandardTableau.from_record(record)

@@ -233,3 +233,10 @@ def test_deck_equality_and_containment():
     assert text("1 2") in a
     assert len(a) == 2
     assert a != minor_set(text("1 2 3"), 1)
+
+
+def test_multiset_text_rejects_non_ascii_and_overlong_multiplicities():
+    for mult in ("²", "1²", "9" * 5000):
+        with pytest.raises(NotADeckError, match="multiplicity"):
+            DeckMultiset.from_text(f"deck k=1 n=2 size=1\n1 x{mult}")
+    assert DeckMultiset.from_text("deck k=1 n=2 size=1\n1 x2").total() == 2
