@@ -2,7 +2,6 @@
 reconstruction, and the exhaustive verification suites."""
 
 import argparse
-import os
 import sys
 
 from .census import (
@@ -32,8 +31,6 @@ from .taquin import (
     minor_set,
     slide_path,
 )
-
-CAP_ENV = "TABREC_CENSUS_CAP"
 
 
 def _parse_shape(text: str):
@@ -140,16 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cap_from_env() -> int | None:
-    raw = os.environ.get(CAP_ENV)
-    if raw is None or not raw.strip():
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise TableauError(f"{CAP_ENV}={raw!r} is not an integer") from None
-
-
 def _cmd_enumerate(args) -> int:
     if args.shape is not None:
         if sum(args.shape) != args.n:
@@ -198,7 +185,6 @@ def _cmd_census(args) -> int:
         args.k,
         "multiset" if args.multiset else "set",
         jobs=args.jobs,
-        cap=_cap_from_env(),
     )
     print(report.to_json() if args.json else report.to_text())
     return 0
@@ -211,7 +197,7 @@ def _cmd_hbound(args) -> int:
         if args.n >= 5:
             report = with_exact(report, force=args.force)
         else:
-            collisions = census(args.n, 1, "multiset", cap=_cap_from_env())
+            collisions = census(args.n, 1, "multiset")
     print(report.to_text())
     if collisions is not None:
         for cls in collisions.classes:

@@ -45,10 +45,13 @@ Cell = tuple[int, int]
 def check_partition(parts: Iterable[int]) -> Partition:
     """Return ``parts`` as a validated partition tuple.
 
-    Raises ShapeError if any part is < 1 or the parts increase.
+    Raises ShapeError if any part is not an int (bool excluded), is < 1,
+    or the parts increase.
     """
-    shape = tuple(int(p) for p in parts)
+    shape = tuple(parts)
     for i, p in enumerate(shape):
+        if type(p) is not int:
+            raise ShapeError(f"part {i + 1} is {p!r}; parts must be integers")
         if p < 1:
             raise ShapeError(f"part {i + 1} is {p}; parts must be >= 1")
         if i > 0 and p > shape[i - 1]:

@@ -374,11 +374,7 @@ def reconstruct_from_multiset(cards: DeckMultiset) -> Outcome:
         return Invalid(f"expected a deck of 1-minors, got k={cards.k}")
     if cards.n <= 4:
         return _exhaustive_set(cards)
-    try:
-        support = cards.support()
-    except TableauError as exc:
-        return Invalid(str(exc))
-    outcome = reconstruct_from_set(support)
+    outcome = reconstruct_from_set(cards.support())
     if not isinstance(outcome, Unique):
         return outcome
     if minor_multiset(outcome.tableau, 1) != cards:

@@ -86,7 +86,9 @@ def slide_path(tableau: StandardTableau, m: int) -> tuple[Cell, ...]:
 
 
 def _check_sizes(members, k: int, n: int, noun: str) -> None:
-    """Deck members must have n - k entries, with k in 0..n."""
+    """Deck members must have n - k entries, with integers k in 0..n."""
+    if type(k) is not int or type(n) is not int:
+        raise OutOfRangeError(f"k={k!r} and n={n!r} must be integers")
     if not 0 <= k <= n:
         raise OutOfRangeError(f"minor order {k} outside 0..{n}")
     for member in members:
@@ -108,9 +110,9 @@ class Deck:
 
     def __init__(self, members: Iterable[StandardTableau], k: int, n: int):
         self.members = tuple(sorted(set(members), key=StandardTableau.sort_key))
-        self.k = int(k)
-        self.n = int(n)
-        _check_sizes(self.members, self.k, self.n, "member")
+        self.k = k
+        self.n = n
+        _check_sizes(self.members, k, n, "member")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Deck):
@@ -171,15 +173,17 @@ class DeckMultiset:
     ):
         counts: Counter = Counter()
         for member, mult in cards:
-            if mult < 1:
-                raise NotADeckError(f"multiplicity {mult} is not positive")
+            if type(mult) is not int or mult < 1:
+                raise NotADeckError(
+                    f"multiplicity {mult!r} is not a positive integer"
+                )
             counts[member] += mult
         self.cards = tuple(
             sorted(counts.items(), key=lambda item: item[0].sort_key())
         )
-        self.k = int(k)
-        self.n = int(n)
-        _check_sizes((m for m, _ in self.cards), self.k, self.n, "card")
+        self.k = k
+        self.n = n
+        _check_sizes((m for m, _ in self.cards), k, n, "card")
         if self.k == 1 and self.total() != self.n:
             raise NotADeckError(
                 f"1-minor multiset has total multiplicity {self.total()}, "

@@ -7,6 +7,8 @@ every other multiset); it validates the max-intersection shortcut the
 library uses.
 """
 
+import importlib
+import inspect
 import json
 from collections import Counter
 from itertools import combinations
@@ -147,7 +149,7 @@ def test_census_argument_validation():
     with pytest.raises(OutOfRangeError):
         census(3, 3)
     with pytest.raises(ResourceLimitError):
-        census(5, 1, "set", cap=10)
+        census(14, 1, "set")
     with pytest.raises(Exception):
         census(3, 1, "bag")
 
@@ -358,3 +360,48 @@ def test_verify_proposition_size_cap():
         verify_proposition(MAX_HBOUND_N + 1)
     with pytest.raises(ResourceLimitError):
         verify_proposition(10**12)
+
+
+PER_TABLEAU_SUITES = ("lemma3.1", "lemma3.2", "lemma3.3", "theorem3.7")
+# the package re-exports the census function under the module's name
+census_module = importlib.import_module("tabrec.census")
+
+
+def test_walks_past_the_cap_fail_before_enumerating(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("enumerated past the cap")
+
+    monkeypatch.setattr(census_module, "enumerate_syt_all", no_enumeration)
+    monkeypatch.setattr(census_module, "enumerate_syt", no_enumeration)
+    for name in PER_TABLEAU_SUITES:
+        with pytest.raises(ResourceLimitError, match="1000000"):
+            VERIFY_SUITES[name](14)
+        with pytest.raises(ResourceLimitError):
+            VERIFY_SUITES[name](10**9)
+    for n in (14, 10**6):
+        with pytest.raises(ResourceLimitError):
+            census(n, 1, "multiset")
+        with pytest.raises(ResourceLimitError):
+            differential_check(n)
+
+
+def test_common_bound_suite_cap(monkeypatch):
+    def no_witness(n):
+        raise AssertionError(f"built the witness pair at n={n}")
+
+    monkeypatch.setattr(census_module, "verify_proposition", no_witness)
+    with pytest.raises(ResourceLimitError, match=str(MAX_HBOUND_N)):
+        VERIFY_SUITES["proposition5"](MAX_HBOUND_N + 1)
+
+
+def test_suites_below_their_range_find_nothing():
+    for name, suite in VERIFY_SUITES.items():
+        for max_n in (-3, 0, 1):
+            assert suite(max_n) == [], (name, max_n)
+
+
+def test_census_knobs_are_fixed():
+    assert list(inspect.signature(census).parameters) == [
+        "n", "k", "mode", "jobs",
+    ]
+    assert list(inspect.signature(differential_check).parameters) == ["n"]

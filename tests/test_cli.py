@@ -179,20 +179,6 @@ def test_census_jobs_agree(capsys):
     assert len(outputs) == 1
 
 
-def test_census_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("TABREC_CENSUS_CAP", "10")
-    status, _, err = invoke(capsys, "census", "--n", "5")
-    assert status == 1
-    assert err.startswith("error:")
-    monkeypatch.setenv("TABREC_CENSUS_CAP", "plenty")
-    status, _, err = invoke(capsys, "census", "--n", "3")
-    assert status == 1
-    assert "TABREC_CENSUS_CAP" in err
-    monkeypatch.setenv("TABREC_CENSUS_CAP", "")
-    status, _, _ = invoke(capsys, "census", "--n", "3")
-    assert status == 0
-
-
 def test_hbound_plain_and_exact(capsys):
     status, out, _ = invoke(capsys, "hbound", "--n", "6")
     assert status == 0
@@ -347,3 +333,25 @@ def test_hbound_rejects_n_above_cap(capsys):
     assert status == 1
     assert out == ""
     assert err.startswith("error:") and "1000" in err
+
+
+def test_walks_past_the_cap_exit_with_error(capsys):
+    for argv in (
+        ["census", "--n", "14"],
+        ["verify", "--suite", "lemma3.1", "--max-n", "20"],
+        ["verify", "--suite", "lemma3.2", "--max-n", "14"],
+        ["verify", "--suite", "lemma3.3", "--max-n", "14"],
+        ["verify", "--suite", "theorem3.7", "--max-n", "14"],
+        ["verify", "--suite", "proposition5", "--max-n", "1001"],
+    ):
+        status, out, err = invoke(capsys, *argv)
+        assert status == 1, argv
+        assert out == ""
+        assert err.startswith("error:") and "exceeds the cap" in err
+
+
+def test_census_ignores_cap_variable(capsys, monkeypatch):
+    status, plain, _ = invoke(capsys, "census", "--n", "5")
+    assert status == 0
+    monkeypatch.setenv("TABREC_CENSUS_CAP", "10")
+    assert invoke(capsys, "census", "--n", "5") == (0, plain, "")

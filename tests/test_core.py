@@ -336,3 +336,12 @@ def test_from_record_rejects_malformed_records():
     ):
         with pytest.raises(TableauError):
             StandardTableau.from_record(record)
+
+
+def test_non_integer_parts_are_rejected():
+    with pytest.raises(ShapeError):
+        check_partition([2.9, 1.5])
+    with pytest.raises(ShapeError):
+        conjugate([True, True])
+    with pytest.raises(ShapeError):
+        list(enumerate_syt((2.5, 1)))

@@ -240,3 +240,15 @@ def test_multiset_text_rejects_non_ascii_and_overlong_multiplicities():
         with pytest.raises(NotADeckError, match="multiplicity"):
             DeckMultiset.from_text(f"deck k=1 n=2 size=1\n1 x{mult}")
     assert DeckMultiset.from_text("deck k=1 n=2 size=1\n1 x2").total() == 2
+
+
+def test_deck_constructors_reject_non_integer_sizes():
+    members = [text("1 2"), text("1 / 2")]
+    for k, n in ((1.7, 3.2), (1.0, 3), (1, 3.0), (True, 3), (1, "3")):
+        with pytest.raises(OutOfRangeError):
+            Deck(members, k, n)
+        with pytest.raises(OutOfRangeError):
+            DeckMultiset([(m, 1) for m in members], k, n)
+    for mult in (2.0, True, "2"):
+        with pytest.raises(NotADeckError):
+            DeckMultiset([(text("1 2"), 1), (text("1 / 2"), mult)], 1, 3)
