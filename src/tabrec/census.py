@@ -2,7 +2,10 @@
 
 Exhaustive censuses group every size-n tableau by a canonical encoding
 of its deck, so collision classes (distinct tableaux sharing a deck) are
-read off by exact key equality instead of pairwise comparison.  On top
+read off by exact key equality instead of pairwise comparison.  For
+1-minors the key is the sorted tuple of the minors' packed row words
+(the row of entry v in bits 4(v-1)..4v-1), carried down the add-a-corner
+tree without a single slide; only colliding tableaux are decoded.  On top
 of the census sit the bound experiments for the smallest determining
 submultiset of 1-minors, and a differential check that replays the
 constructive reconstruction against the census grouping.
@@ -11,6 +14,7 @@ constructive reconstruction against the census grouping.
 import json
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import chain
 
@@ -36,13 +40,15 @@ from .reconstruct import (
 )
 from .taquin import (
     OutOfRangeError,
+    ResourceLimitError,
     delete_entry,
     minor_multiset,
     minor_set,
 )
 
-# largest |Y_n| an exhaustive walk covers (n <= 13); census time grows ~4.4x
-# per size (set mode, 2-core Xeon: 0.41 s at n = 9, 7.8 s at n = 11)
+# largest |Y_n| an exhaustive walk covers (n <= 13); census time grows ~3.9x
+# per size (set mode, 2-core Xeon: 0.05 s at n = 9, 0.68 s at n = 11, and
+# 2.6 s with 122 MB peak RSS at n = 12)
 CENSUS_CAP = 10**6
 MAX_HBOUND_N = 1000  # verify_proposition's O(n^2) deletions take ~1 s here
 
@@ -55,10 +61,6 @@ def involution_count(n: int) -> int:
     for i in range(2, n + 1):
         prev, cur = cur, cur + (i - 1) * prev
     return cur
-
-
-class ResourceLimitError(TableauError):
-    """Requested computation exceeds a fixed size cap."""
 
 
 class SizeMismatchError(TableauError):
@@ -169,10 +171,67 @@ def _walk(first: int, max_n: int):
     return chain.from_iterable(map(enumerate_syt_all, range(first, max_n + 1)))
 
 
+def _deck_walk(shape):
+    """Each tableau T of a nonempty ``shape`` as (word, minors), with
+    minors[m - 1] the word of T - m; a word holds the 0-based row of entry
+    v in bits 4(v-1)..4v-1, so a shape may have at most 16 rows.
+
+    Depth first down the add-a-corner tree inside ``shape``.  Let T add n
+    at cell c of P, and q end m's slide path in P.  If c is right of or
+    below q, the slide in T goes on into c, so T - m is P - m with n - 1
+    at q and the path ends at c; otherwise T - m is P - m with n - 1 at c
+    and the path still ends at q.  T - n = P.  So no minor needs a slide.
+    """
+    n = sum(shape)
+    # (word, row lengths, minor words, slide endpoints), from the one-cell root
+    stack = [(0, (1,) + (0,) * (len(shape) - 1), [0], [(0, 0)])]
+    while stack:
+        word, lens, minors, ends = stack.pop()
+        p = len(minors)
+        if p == n:
+            yield word, minors
+            continue
+        low = 4 * (p - 1)  # bits of the new entry n - 1 in each T - m
+        for r, col in enumerate(lens):
+            if col == shape[r] or (r and lens[r - 1] == col):
+                continue
+            cell, left, up = (r, col), (r, col - 1), (r - 1, col)
+            kids, kid_ends = [], []
+            for minor, q in zip(minors, ends):
+                if q == left or q == up:
+                    kids.append(minor | q[0] << low)
+                    kid_ends.append(cell)
+                else:
+                    kids.append(minor | r << low)
+                    kid_ends.append(q)
+            kids.append(word)
+            kid_ends.append(cell)
+            grown = lens[:r] + (col + 1,) + lens[r + 1:]
+            stack.append((word | r << 4 * p, grown, kids, kid_ends))
+
+
+def _decode(word: int, n: int) -> StandardTableau:
+    """The size-n tableau with packed row word ``word``."""
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for v in range(1, n + 1):
+        rows[word >> 4 * (v - 1) & 15].append(v)
+    return StandardTableau._make(row for row in rows if row)
+
+
 def _census_shard(shape, k, mode):
-    """(deck text, tableau) for each tableau of one shape; runs in workers."""
+    """(deck key, packed word) for each tableau of one shape; runs in workers.
+
+    At k = 1 the key is the sorted tuple of the minors' words, taken as a
+    set in set mode; at k >= 2 it is the Deck or DeckMultiset itself.
+    """
+    walk = _deck_walk(shape)
+    if k == 1:
+        if mode == "set":
+            return [(tuple(sorted(set(m))), word) for word, m in walk]
+        return [(tuple(sorted(m)), word) for word, m in walk]
     minors = minor_set if mode == "set" else minor_multiset
-    return [(minors(t, k).to_text(), t) for t in enumerate_syt(shape)]
+    n = sum(shape)
+    return [(minors(_decode(word, n), k), word) for word, _ in walk]
 
 
 def census(
@@ -208,25 +267,29 @@ def census(
 
         with Pool(processes=processes) as pool:
             shards = pool.starmap(_census_shard, args)
-    groups: dict[str, list[StandardTableau]] = {}
+    groups: dict[object, list[int]] = {}
     for shard in shards:
-        for key, tableau in shard:
-            groups.setdefault(key, []).append(tableau)
+        for key, word in shard:
+            groups.setdefault(key, []).append(word)
     total = sum(len(g) for g in groups.values())
     if total != expected:
         raise VerificationError(
             f"enumerated {total} tableaux at n={n}, recurrence says {expected}"
         )
-    classes = tuple(
-        tuple(sorted(group))
-        for key, group in sorted(groups.items())
-        if len(group) >= 2
+    minors = minor_set if mode == "set" else minor_multiset
+    classes = sorted(
+        (
+            tuple(sorted(_decode(word, n) for word in group))
+            for group in groups.values()
+            if len(group) >= 2
+        ),
+        key=lambda cls: minors(cls[0], k).to_text(),
     )
     return CensusReport(
         n=n,
         k=k,
         mode=mode,
-        classes=classes,
+        classes=tuple(classes),
         total=total,
         elapsed=time.perf_counter() - start,
     )
@@ -307,8 +370,9 @@ def compute_H1_exact(n: int, force: bool = False) -> int:
     A size-m submultiset of one multiset fits inside another exactly
     when m is at most their intersection size, so the answer is one more
     than the largest intersection over all pairs of distinct tableaux.
-    An index from each 1-minor to the earlier tableaux holding it skips
-    pairs that share no minor; n > 9 requires ``force``.
+    The multisets come from the deck walk, and an index from each 1-minor
+    to the earlier tableaux holding it skips pairs that share no minor.
+    n > 9 requires ``force``; n past the census cap is refused either way.
     """
     if n < 5:
         raise TooSmallError(
@@ -320,11 +384,13 @@ def compute_H1_exact(n: int, force: bool = False) -> int:
             f"{involution_count(n)} tableaux make too many pairs at n={n}; "
             f"pass force=True to override"
         )
-    holders: dict[StandardTableau, list[tuple[int, int]]] = {}
+    _check_cap(n)
+    holders: dict[int, list[tuple[int, int]]] = {}
     best = 0
-    for i, tableau in enumerate(enumerate_syt_all(n)):
+    walk = chain.from_iterable(map(_deck_walk, enumerate_partitions(n)))
+    for i, (_, minors) in enumerate(walk):
         shared: dict[int, int] = {}
-        for minor, mult in minor_multiset(tableau, 1).cards:
+        for minor, mult in Counter(minors).items():
             for j, other in holders.get(minor, ()):
                 shared[j] = shared.get(j, 0) + min(mult, other)
             holders.setdefault(minor, []).append((i, mult))

@@ -15,7 +15,7 @@ from itertools import combinations
 
 import pytest
 
-from tabrec.census import MAX_HBOUND_N
+from tabrec.census import CENSUS_CAP, MAX_HBOUND_N, _decode, _deck_walk
 from tabrec.census import (
     CensusReport,
     ResourceLimitError,
@@ -31,9 +31,21 @@ from tabrec.census import (
     verify_proposition,
     with_exact,
 )
-from tabrec.core import StandardTableau, enumerate_syt, enumerate_syt_all
+from tabrec.core import (
+    StandardTableau,
+    enumerate_partitions,
+    enumerate_syt,
+    enumerate_syt_all,
+)
 from tabrec.reconstruct import TooSmallError
-from tabrec.taquin import OutOfRangeError, minor_multiset, minor_set
+from tabrec.taquin import (
+    Deck,
+    DeckMultiset,
+    OutOfRangeError,
+    delete_entry,
+    minor_multiset,
+    minor_set,
+)
 
 
 def text(s):
@@ -373,6 +385,7 @@ def test_walks_past_the_cap_fail_before_enumerating(monkeypatch):
 
     monkeypatch.setattr(census_module, "enumerate_syt_all", no_enumeration)
     monkeypatch.setattr(census_module, "enumerate_syt", no_enumeration)
+    monkeypatch.setattr(census_module, "_deck_walk", no_enumeration)
     for name in PER_TABLEAU_SUITES:
         with pytest.raises(ResourceLimitError, match="1000000"):
             VERIFY_SUITES[name](14)
@@ -383,6 +396,9 @@ def test_walks_past_the_cap_fail_before_enumerating(monkeypatch):
             census(n, 1, "multiset")
         with pytest.raises(ResourceLimitError):
             differential_check(n)
+        # force lifts only the n > 9 guard, never the cap
+        with pytest.raises(ResourceLimitError, match="1000000"):
+            compute_H1_exact(n, force=True)
 
 
 def test_common_bound_suite_cap(monkeypatch):
@@ -405,3 +421,52 @@ def test_census_knobs_are_fixed():
         "n", "k", "mode", "jobs",
     ]
     assert list(inspect.signature(differential_check).parameters) == ["n"]
+
+
+def test_deck_walk_matches_slide_decks():
+    # the oracle is slide-based deletion, one tableau and entry at a time
+    for n in range(1, 10):
+        for shape in enumerate_partitions(n):
+            walked = []
+            for word, minors in _deck_walk(shape):
+                t = _decode(word, n)
+                walked.append(t)
+                cards = [_decode(minor, n - 1) for minor in minors]
+                assert cards == [delete_entry(t, m) for m in range(1, n + 1)]
+                assert DeckMultiset(Counter(cards).items(), 1, n) == (
+                    minor_multiset(t, 1)
+                )
+                assert Deck(cards, 1, n) == minor_set(t, 1)
+            assert sorted(walked) == enumerate_syt(shape), shape
+
+
+def test_cap_fits_the_row_packing():
+    # a packed word gives each entry's row 4 bits, so at most 16 rows
+    largest = max(n for n in range(1, 20) if involution_count(n) <= CENSUS_CAP)
+    assert largest == 13 < 16
+    column = StandardTableau([[v] for v in range(1, largest + 1)])
+    [(word, minors)] = _deck_walk(column.shape)
+    assert _decode(word, largest) == column
+    shorter = StandardTableau([[v] for v in range(1, largest)])
+    cards = [_decode(minor, largest - 1) for minor in minors]
+    assert cards == [shorter] * largest
+
+
+def test_census_and_exact_h1_make_no_slides(monkeypatch):
+    def fail(*args):
+        raise AssertionError("slid or built deck text")
+
+    taquin_module = importlib.import_module("tabrec.taquin")
+    monkeypatch.setattr(taquin_module, "_slide", fail)
+    monkeypatch.setattr(Deck, "to_text", fail)
+    monkeypatch.setattr(DeckMultiset, "to_text", fail)
+    for mode in ("set", "multiset"):
+        assert census(7, 1, mode).classes == ()
+    assert compute_H1_exact(7) == 6
+
+
+def test_census_past_ten_finds_no_collisions():
+    for mode in ("set", "multiset"):
+        report = census(11, 1, mode)
+        assert report.classes == (), mode
+        assert report.total == 35696

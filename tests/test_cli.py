@@ -338,6 +338,7 @@ def test_hbound_rejects_n_above_cap(capsys):
 def test_walks_past_the_cap_exit_with_error(capsys):
     for argv in (
         ["census", "--n", "14"],
+        ["hbound", "--n", "14", "--exact", "--force"],
         ["verify", "--suite", "lemma3.1", "--max-n", "20"],
         ["verify", "--suite", "lemma3.2", "--max-n", "14"],
         ["verify", "--suite", "lemma3.3", "--max-n", "14"],
@@ -355,3 +356,21 @@ def test_census_ignores_cap_variable(capsys, monkeypatch):
     assert status == 0
     monkeypatch.setenv("TABREC_CENSUS_CAP", "10")
     assert invoke(capsys, "census", "--n", "5") == (0, plain, "")
+
+
+def test_minors_level_cap_exits_with_error(capsys, monkeypatch):
+    # the column-filled staircase with 55 cells: its minor levels grow
+    # about 3x per k, so --k 20 would run for hours without the cap
+    rows, v = [], 1
+    for length in range(10, 0, -1):
+        rows.append(list(range(v, v + length)))
+        v += length
+    staircase = StandardTableau(rows).transpose().to_text()
+    monkeypatch.setattr(tabrec.taquin, "MAX_MINOR_LEVEL", 100)
+    for extra in ([], ["--multiset"]):
+        status, out, err = invoke(
+            capsys, "minors", "--tableau", staircase, "--k", "20", *extra
+        )
+        assert status == 1
+        assert out == ""
+        assert err.startswith("error:") and "exceeds the cap of 100" in err

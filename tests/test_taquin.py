@@ -6,8 +6,11 @@ relies on (validity, corner bookkeeping, the deck-reduction identities,
 and commutation with transposition) over every tableau of small sizes.
 """
 
+import importlib
+
 import pytest
 
+import tabrec
 from tabrec.core import (
     StandardTableau,
     conjugate,
@@ -19,6 +22,7 @@ from tabrec.taquin import (
     DeckMultiset,
     NotADeckError,
     OutOfRangeError,
+    ResourceLimitError,
     delete_entry,
     minor_multiset,
     minor_set,
@@ -252,3 +256,27 @@ def test_deck_constructors_reject_non_integer_sizes():
     for mult in (2.0, True, "2"):
         with pytest.raises(NotADeckError):
             DeckMultiset([(text("1 2"), 1), (text("1 / 2"), mult)], 1, 3)
+
+
+def column_filled_staircase(m):
+    """Shape (m, m-1, ..., 1) filled column by column."""
+    rows, v = [], 1
+    for length in range(m, 0, -1):
+        rows.append(list(range(v, v + length)))
+        v += length
+    return StandardTableau(rows).transpose()
+
+
+def test_minor_levels_are_capped(monkeypatch):
+    # the package re-exports the census function under the module's name
+    census_module = importlib.import_module("tabrec.census")
+    assert tabrec.ResourceLimitError is census_module.ResourceLimitError
+    assert tabrec.ResourceLimitError is ResourceLimitError
+    t = column_filled_staircase(6)
+    # levels k = 1..6 hold 6, 19, 47, 104, 216 and 419 distinct minors
+    monkeypatch.setattr(tabrec.taquin, "MAX_MINOR_LEVEL", 104)
+    assert len(minor_set(t, 4)) == 104
+    assert minor_multiset(t, 4).support() == minor_set(t, 4)
+    for minors in (minor_set, minor_multiset):
+        with pytest.raises(ResourceLimitError, match="cap of 104"):
+            minors(t, 5)
