@@ -4,11 +4,12 @@ Exhaustive censuses group every size-n tableau by a canonical encoding
 of its deck, so collision classes (distinct tableaux sharing a deck) are
 read off by exact key equality instead of pairwise comparison.  For
 1-minors the key is the sorted tuple of the minors' packed row words
-(the row of entry v in bits 4(v-1)..4v-1), carried down the add-a-corner
-tree without a single slide; only colliding tableaux are decoded.  On top
-of the census sit the bound experiments for the smallest determining
-submultiset of 1-minors, and a differential check that replays the
-constructive reconstruction against the census grouping.
+(the row of entry v in bits 4(v-1)..4v-1), carried down one depth-first
+walk of the add-a-corner tree of all tableaux without a single slide;
+census shards the walk by subtree, and decodes only colliding tableaux.
+On top of the census sit the bound experiments for the smallest
+determining submultiset of 1-minors, and a differential check that
+replays the constructive reconstruction against the census grouping.
 """
 
 import json
@@ -18,13 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import chain
 
-from .core import (
-    StandardTableau,
-    TableauError,
-    enumerate_partitions,
-    enumerate_syt,
-    enumerate_syt_all,
-)
+from .core import StandardTableau, TableauError, enumerate_syt, enumerate_syt_all
 from .reconstruct import (
     Ambiguous,
     Unique,
@@ -36,7 +31,6 @@ from .reconstruct import (
     reconstruct_shape,
     locate_max,
     reduce_deck,
-    _DECK_TABLE_32,
 )
 from .taquin import (
     OutOfRangeError,
@@ -46,9 +40,9 @@ from .taquin import (
     minor_set,
 )
 
-# largest |Y_n| an exhaustive walk covers (n <= 13); census time grows ~3.9x
-# per size (set mode, 2-core Xeon: 0.05 s at n = 9, 0.68 s at n = 11, and
-# 2.6 s with 122 MB peak RSS at n = 12)
+# largest |Y_n| an exhaustive walk covers (n <= 13); census time grows ~4x
+# per size (set mode, 2-core Xeon: 0.2 s at n = 11, 1.4 s at n = 12 and
+# 5.8 s with 309 MB peak RSS at n = 13, the last two by the CLI)
 CENSUS_CAP = 10**6
 MAX_HBOUND_N = 1000  # verify_proposition's O(n^2) deletions take ~1 s here
 
@@ -98,15 +92,9 @@ class CensusReport:
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "k": self.k,
-                "mode": self.mode,
-                "total": self.total,
-                "classes": [[t.to_text() for t in cls] for cls in self.classes],
-            }
-        )
+        classes = [[t.to_text() for t in cls] for cls in self.classes]
+        fields = dict(n=self.n, k=self.k, mode=self.mode, total=self.total)
+        return json.dumps({**fields, "classes": classes})
 
 
 @dataclass(frozen=True)
@@ -171,43 +159,64 @@ def _walk(first: int, max_n: int):
     return chain.from_iterable(map(enumerate_syt_all, range(first, max_n + 1)))
 
 
-def _deck_walk(shape):
-    """Each tableau T of a nonempty ``shape`` as (word, minors), with
-    minors[m - 1] the word of T - m; a word holds the 0-based row of entry
-    v in bits 4(v-1)..4v-1, so a shape may have at most 16 rows.
+_SHARD_DEPTH = 5  # census shards are the subtrees below size-5 tableaux
+# a walk node is (word, row lengths, minor words, slide path ends), with a
+# cell packed as col << 4 | row; the root is the empty tableau
+_ROOT = (0, (), [], [])
 
-    Depth first down the add-a-corner tree inside ``shape``.  Let T add n
-    at cell c of P, and q end m's slide path in P.  If c is right of or
-    below q, the slide in T goes on into c, so T - m is P - m with n - 1
-    at q and the path ends at c; otherwise T - m is P - m with n - 1 at c
-    and the path still ends at q.  T - n = P.  So no minor needs a slide.
+
+def _children(node, leaves=False):
+    """Each tableau grown from ``node`` by one corner, as a walk node, or
+    with ``leaves`` as (word, minors) alone.
+
+    A word holds the 0-based row of entry v in bits 4(v-1)..4v-1, so at
+    most 16 rows; minors[m - 1] is the word of T - m.  Let T add n at cell
+    c of P, and q end m's slide path in P.  If c is right of or below q,
+    the slide in T goes on into c, so T - m is P - m with n - 1 at q and
+    the path ends at c; otherwise T - m is P - m with n - 1 at c and the
+    path still ends at q.  T - n = P.  So no minor needs a slide.
     """
-    n = sum(shape)
-    # (word, row lengths, minor words, slide endpoints), from the one-cell root
-    stack = [(0, (1,) + (0,) * (len(shape) - 1), [0], [(0, 0)])]
-    while stack:
-        word, lens, minors, ends = stack.pop()
-        p = len(minors)
-        if p == n:
-            yield word, minors
+    word, lens, minors, ends = node
+    p = len(minors)
+    low = max(4 * p - 4, 0)  # bits of the new entry n - 1 in each T - m
+    for r, col in enumerate(lens + (0,)):
+        if r and lens[r - 1] == col:
             continue
-        low = 4 * (p - 1)  # bits of the new entry n - 1 in each T - m
-        for r, col in enumerate(lens):
-            if col == shape[r] or (r and lens[r - 1] == col):
-                continue
-            cell, left, up = (r, col), (r, col - 1), (r - 1, col)
-            kids, kid_ends = [], []
-            for minor, q in zip(minors, ends):
-                if q == left or q == up:
-                    kids.append(minor | q[0] << low)
-                    kid_ends.append(cell)
-                else:
-                    kids.append(minor | r << low)
-                    kid_ends.append(q)
-            kids.append(word)
-            kid_ends.append(cell)
-            grown = lens[:r] + (col + 1,) + lens[r + 1:]
-            stack.append((word | r << 4 * p, grown, kids, kid_ends))
+        cell = col << 4 | r
+        left, up = cell - 16, (cell - 1 if r else -1)
+        here, above = r << low, (r - 1) << low
+        kids = [m | (above if q == up else here) for m, q in zip(minors, ends)]
+        kids.append(word)
+        grown = word | r << 4 * p
+        if leaves:
+            yield grown, kids
+            continue
+        kid_ends = [cell if q == left or q == up else q for q in ends]
+        kid_ends.append(cell)
+        yield grown, lens[:r] + (col + 1,) + lens[r + 1:], kids, kid_ends
+
+
+def _nodes(n: int, node=_ROOT):
+    """The walk nodes of the size-n tableaux below ``node``, depth first."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if len(node[2]) == n:
+            yield node
+        else:
+            stack.extend(_children(node))
+
+
+def _deck_walk(n: int, node=_ROOT):
+    """Each size-n tableau T below ``node`` (default: all of 𝒴ₙ, n >= 1)
+    as (word, minors), with minors[m - 1] the word of T - m."""
+    for parent in _nodes(n - 1, node):
+        yield from _children(parent, leaves=True)
+
+
+def _shards(n: int):
+    """The walk nodes whose subtrees partition 𝒴ₙ, n >= 1."""
+    return list(_nodes(min(_SHARD_DEPTH, n - 1)))
 
 
 def _decode(word: int, n: int) -> StandardTableau:
@@ -218,33 +227,26 @@ def _decode(word: int, n: int) -> StandardTableau:
     return StandardTableau._make(row for row in rows if row)
 
 
-def _census_shard(shape, k, mode):
-    """(deck key, packed word) for each tableau of one shape; runs in workers.
-
-    At k = 1 the key is the sorted tuple of the minors' words, taken as a
-    set in set mode; at k >= 2 it is the Deck or DeckMultiset itself.
-    """
-    walk = _deck_walk(shape)
+def _census_shard(node, n, k, mode):
+    """(deck key, word) for each size-n tableau below ``node``; runs in
+    workers.  At k = 1 the key is the sorted tuple of the minors' words,
+    as a set in set mode; at k >= 2 it is the Deck or DeckMultiset."""
+    walk = _deck_walk(n, node)
     if k == 1:
         if mode == "set":
             return [(tuple(sorted(set(m))), word) for word, m in walk]
         return [(tuple(sorted(m)), word) for word, m in walk]
     minors = minor_set if mode == "set" else minor_multiset
-    n = sum(shape)
     return [(minors(_decode(word, n), k), word) for word, _ in walk]
 
 
-def census(
-    n: int,
-    k: int = 1,
-    mode: str = "set",
-    jobs: int = 1,
-) -> CensusReport:
+def census(n: int, k: int = 1, mode: str = "set", jobs: int = 1) -> CensusReport:
     """Group all of 𝒴ₙ by canonical deck encoding; report collisions.
 
-    Work is partitioned by shape across ``jobs`` processes (at most one
-    per shape and CPU); the merge sorts classes by key and members
-    canonically, so the report is identical for any worker count.
+    The shards, the subtrees below the tableaux of size min(_SHARD_DEPTH,
+    n - 1), are spread across ``jobs`` processes (at most one per shard
+    and CPU); the merge sorts classes by key and members canonically, so
+    the report is identical for any worker count.
     """
     if n < 1:
         raise OutOfRangeError(f"census needs n >= 1, got {n}")
@@ -257,10 +259,10 @@ def census(
     _check_cap(n)
     expected = involution_count(n)
     start = time.perf_counter()
-    args = [(shape, k, mode) for shape in enumerate_partitions(n)]
+    args = [(node, n, k, mode) for node in _shards(n)]
     processes = min(jobs, len(args), os.cpu_count() or 1)
     if processes == 1:
-        shards = [_census_shard(*a) for a in args]
+        shards = (_census_shard(*a) for a in args)
     else:
         # imported here: it is costly to import and serial runs never need it
         from multiprocessing import Pool
@@ -372,14 +374,14 @@ def compute_H1_exact(n: int, force: bool = False) -> int:
     than the largest intersection over all pairs of distinct tableaux.
     The multisets come from the deck walk, and an index from each 1-minor
     to the earlier tableaux holding it skips pairs that share no minor.
-    n > 9 requires ``force``; n past the census cap is refused either way.
+    n > 11 requires ``force``; n past the census cap is refused either way.
     """
     if n < 5:
         raise TooSmallError(
             f"the bound is defined only where reconstruction holds (n >= 5), "
             f"got {n}"
         )
-    if n > 9 and not force:
+    if n > 11 and not force:
         raise ResourceLimitError(
             f"{involution_count(n)} tableaux make too many pairs at n={n}; "
             f"pass force=True to override"
@@ -387,8 +389,7 @@ def compute_H1_exact(n: int, force: bool = False) -> int:
     _check_cap(n)
     holders: dict[int, list[tuple[int, int]]] = {}
     best = 0
-    walk = chain.from_iterable(map(_deck_walk, enumerate_partitions(n)))
-    for i, (_, minors) in enumerate(walk):
+    for i, (_, minors) in enumerate(_deck_walk(n)):
         shared: dict[int, int] = {}
         for minor, mult in Counter(minors).items():
             for j, other in holders.get(minor, ()):
@@ -497,24 +498,18 @@ def suite_deck_reduction(max_n: int) -> list[str]:
 
 
 def suite_base_decks(max_n: int) -> list[str]:
-    """The five shape-(3,2) decks match the frozen table and are pairwise
-    distinct; shape-(2,2,1) tableaux round-trip through the transpose."""
+    """The five shape-(3,2) decks are pairwise distinct, and each (3,2) or
+    (2,2,1) tableau comes back from its deck through reconstruct_base."""
     violations = []
-    if len(_DECK_TABLE_32) != 5:
-        violations.append(
-            f"deck table holds {len(_DECK_TABLE_32)} distinct decks, want 5"
-        )
-    for t in enumerate_syt((3, 2)):
-        key = frozenset(m.to_text() for m in minor_set(t, 1))
-        if _DECK_TABLE_32.get(key) != t:
-            violations.append(
-                f"deck of {t.to_text()!r} does not map back to it in the table"
-            )
-    for t in enumerate_syt((2, 2, 1)):
-        if reconstruct_base(minor_set(t, 1), (2, 2, 1)) != t:
-            violations.append(
-                f"base reconstruction of {t.to_text()!r} failed"
-            )
+    decks = {minor_set(t, 1) for t in enumerate_syt((3, 2))}
+    if len(decks) != 5:
+        violations.append(f"shape (3,2) has {len(decks)} distinct decks, want 5")
+    for shape in ((3, 2), (2, 2, 1)):
+        for t in enumerate_syt(shape):
+            if reconstruct_base(minor_set(t, 1), shape) != t:
+                violations.append(
+                    f"base reconstruction of {t.to_text()!r} failed"
+                )
     return violations
 
 

@@ -365,18 +365,23 @@ def reconstruct_from_set(deck: Deck) -> Outcome:
 def reconstruct_from_multiset(cards: DeckMultiset) -> Outcome:
     """Tableaux whose multiset of 1-minors is ``cards``, as an outcome.
 
-    For n >= 5 the set of distinct members already determines the
-    tableau, so reconstruction runs on the support and the multiset is
-    only re-checked.  For n <= 4 exhaustive search compares multisets,
+    For n >= 5 the support already determines the tableau: the pipeline
+    runs on it, and the candidate's multiset re-checks the support, then
+    the multiplicities.  For n <= 4 exhaustive search compares multisets,
     which splits decks the coarser set comparison conflates.
     """
     if cards.k != 1:
         return Invalid(f"expected a deck of 1-minors, got k={cards.k}")
     if cards.n <= 4:
         return _exhaustive_set(cards)
-    outcome = reconstruct_from_set(cards.support())
-    if not isinstance(outcome, Unique):
-        return outcome
-    if minor_multiset(outcome.tableau, 1) != cards:
+    support = cards.support()
+    try:
+        candidate = _reconstruct_inductive(support)
+    except TableauError as exc:
+        return Invalid(str(exc))
+    rebuilt = minor_multiset(candidate, 1)
+    if rebuilt.support() != support:
+        return Invalid("reconstructed candidate has a different deck")
+    if rebuilt != cards:
         return Invalid("reconstructed candidate has a different multiset")
-    return outcome
+    return Unique(candidate)

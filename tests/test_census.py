@@ -16,6 +16,7 @@ from itertools import combinations
 import pytest
 
 from tabrec.census import CENSUS_CAP, MAX_HBOUND_N, _decode, _deck_walk
+from tabrec.census import _ROOT, _children, _shards
 from tabrec.census import (
     CensusReport,
     ResourceLimitError,
@@ -31,12 +32,7 @@ from tabrec.census import (
     verify_proposition,
     with_exact,
 )
-from tabrec.core import (
-    StandardTableau,
-    enumerate_partitions,
-    enumerate_syt,
-    enumerate_syt_all,
-)
+from tabrec.core import StandardTableau, enumerate_syt_all
 from tabrec.reconstruct import TooSmallError
 from tabrec.taquin import (
     Deck,
@@ -240,7 +236,7 @@ def test_h1_bounds_and_guards():
     with pytest.raises(TooSmallError):
         compute_H1_exact(4)
     with pytest.raises(ResourceLimitError):
-        compute_H1_exact(10)
+        compute_H1_exact(12)
 
 
 def test_differential_small_sizes():
@@ -336,8 +332,9 @@ def test_census_jobs_bounds(monkeypatch):
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     serial = census(6, 1, "set").to_text()
     assert started == []
-    # n = 6 has 11 shapes: the pool size is capped by CPUs, then shapes
-    for cpus, want in ((4, 4), (64, 11), (None, None)):
+    # n = 6 has 26 shards, one per tableau of size 5: the pool size is
+    # capped by CPUs, then shards
+    for cpus, want in ((4, 4), (64, 26), (None, None)):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         started.clear()
         assert census(6, 1, "set", jobs=10**6).to_text() == serial
@@ -386,6 +383,7 @@ def test_walks_past_the_cap_fail_before_enumerating(monkeypatch):
     monkeypatch.setattr(census_module, "enumerate_syt_all", no_enumeration)
     monkeypatch.setattr(census_module, "enumerate_syt", no_enumeration)
     monkeypatch.setattr(census_module, "_deck_walk", no_enumeration)
+    monkeypatch.setattr(census_module, "_nodes", no_enumeration)
     for name in PER_TABLEAU_SUITES:
         with pytest.raises(ResourceLimitError, match="1000000"):
             VERIFY_SUITES[name](14)
@@ -426,18 +424,32 @@ def test_census_knobs_are_fixed():
 def test_deck_walk_matches_slide_decks():
     # the oracle is slide-based deletion, one tableau and entry at a time
     for n in range(1, 10):
-        for shape in enumerate_partitions(n):
-            walked = []
-            for word, minors in _deck_walk(shape):
-                t = _decode(word, n)
-                walked.append(t)
-                cards = [_decode(minor, n - 1) for minor in minors]
-                assert cards == [delete_entry(t, m) for m in range(1, n + 1)]
-                assert DeckMultiset(Counter(cards).items(), 1, n) == (
-                    minor_multiset(t, 1)
-                )
-                assert Deck(cards, 1, n) == minor_set(t, 1)
-            assert sorted(walked) == enumerate_syt(shape), shape
+        walked = []
+        for word, minors in _deck_walk(n):
+            t = _decode(word, n)
+            walked.append(t)
+            cards = [_decode(minor, n - 1) for minor in minors]
+            assert cards == [delete_entry(t, m) for m in range(1, n + 1)]
+            assert DeckMultiset(Counter(cards).items(), 1, n) == (
+                minor_multiset(t, 1)
+            )
+            assert Deck(cards, 1, n) == minor_set(t, 1)
+        # every tableau of 𝒴ₙ exactly once
+        assert sorted(walked) == sorted(enumerate_syt_all(n)), n
+
+
+def test_shards_partition_the_tree():
+    # n = 1..5 cut at size n - 1, below the shard depth; n >= 6 at size 5
+    for n in range(1, 10):
+        shards = _shards(n)
+        assert len(shards) == involution_count(min(n - 1, 5)), n
+        walked = [
+            word for node in shards for word, _ in _deck_walk(n, node)
+        ]
+        assert len(walked) == len(set(walked)) == involution_count(n), n
+        assert sorted(_decode(word, n) for word in walked) == sorted(
+            enumerate_syt_all(n)
+        ), n
 
 
 def test_cap_fits_the_row_packing():
@@ -445,7 +457,11 @@ def test_cap_fits_the_row_packing():
     largest = max(n for n in range(1, 20) if involution_count(n) <= CENSUS_CAP)
     assert largest == 13 < 16
     column = StandardTableau([[v] for v in range(1, largest + 1)])
-    [(word, minors)] = _deck_walk(column.shape)
+    # follow the new-row child alone, so only this column's ancestors grow
+    node = _ROOT
+    for _ in range(largest - 1):
+        *_, node = _children(node)
+    [_, (word, minors)] = _deck_walk(largest, node)
     assert _decode(word, largest) == column
     shorter = StandardTableau([[v] for v in range(1, largest)])
     cards = [_decode(minor, largest - 1) for minor in minors]

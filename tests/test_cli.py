@@ -198,7 +198,7 @@ def test_hbound_exact_below_five_lists_collisions(capsys):
 
 
 def test_hbound_exact_guard_needs_force(capsys):
-    status, _, err = invoke(capsys, "hbound", "--n", "10", "--exact")
+    status, _, err = invoke(capsys, "hbound", "--n", "12", "--exact")
     assert status == 1
     assert err.startswith("error:")
 
