@@ -33,6 +33,9 @@ from .reconstruct import (
     reduce_deck,
 )
 from .taquin import (
+    _ROOT,
+    _grow,
+    _tableau_of,
     OutOfRangeError,
     ResourceLimitError,
     delete_entry,
@@ -160,40 +163,12 @@ def _walk(first: int, max_n: int):
 
 
 _SHARD_DEPTH = 5  # census shards are the subtrees below size-5 tableaux
-# a walk node is (word, row lengths, minor words, slide path ends), with a
-# cell packed as col << 4 | row; the root is the empty tableau
-_ROOT = (0, (), [], [])
+_WIDTH = 4  # bits per entry in census words: 16 rows, enough below the cap
 
 
 def _children(node, leaves=False):
-    """Each tableau grown from ``node`` by one corner, as a walk node, or
-    with ``leaves`` as (word, minors) alone.
-
-    A word holds the 0-based row of entry v in bits 4(v-1)..4v-1, so at
-    most 16 rows; minors[m - 1] is the word of T - m.  Let T add n at cell
-    c of P, and q end m's slide path in P.  If c is right of or below q,
-    the slide in T goes on into c, so T - m is P - m with n - 1 at q and
-    the path ends at c; otherwise T - m is P - m with n - 1 at c and the
-    path still ends at q.  T - n = P.  So no minor needs a slide.
-    """
-    word, lens, minors, ends = node
-    p = len(minors)
-    low = max(4 * p - 4, 0)  # bits of the new entry n - 1 in each T - m
-    for r, col in enumerate(lens + (0,)):
-        if r and lens[r - 1] == col:
-            continue
-        cell = col << 4 | r
-        left, up = cell - 16, (cell - 1 if r else -1)
-        here, above = r << low, (r - 1) << low
-        kids = [m | (above if q == up else here) for m, q in zip(minors, ends)]
-        kids.append(word)
-        grown = word | r << 4 * p
-        if leaves:
-            yield grown, kids
-            continue
-        kid_ends = [cell if q == left or q == up else q for q in ends]
-        kid_ends.append(cell)
-        yield grown, lens[:r] + (col + 1,) + lens[r + 1:], kids, kid_ends
+    """taquin._grow at width 4."""
+    return _grow(node, _WIDTH, leaves)
 
 
 def _nodes(n: int, node=_ROOT):
@@ -220,11 +195,8 @@ def _shards(n: int):
 
 
 def _decode(word: int, n: int) -> StandardTableau:
-    """The size-n tableau with packed row word ``word``."""
-    rows: list[list[int]] = [[] for _ in range(n)]
-    for v in range(1, n + 1):
-        rows[word >> 4 * (v - 1) & 15].append(v)
-    return StandardTableau._make(row for row in rows if row)
+    """The size-n tableau with census word ``word``."""
+    return _tableau_of(word, n, _WIDTH)
 
 
 def _census_shard(node, n, k, mode):
@@ -384,7 +356,7 @@ def compute_H1_exact(n: int, force: bool = False) -> int:
     if n > 11 and not force:
         raise ResourceLimitError(
             f"{involution_count(n)} tableaux make too many pairs at n={n}; "
-            f"pass force=True to override"
+            f"pass force=True (--force on the command line) to override"
         )
     _check_cap(n)
     holders: dict[int, list[tuple[int, int]]] = {}

@@ -7,11 +7,18 @@ a shape is decided directly: single rows and columns, two-row (or
 two-column) shapes whose second line has one cell, and the shapes (3,2)
 and (2,2,1), which are matched against a frozen table of their five
 possible decks; then each level's n goes back in at its located cell.
+A level is a map from each member's packed row word (as in
+taquin._grow) to its shape, so reducing it is a mask and one shorter
+row; only the base level is decoded, once, into the Deck that
+reconstruct_base takes.  The candidate is re-checked by comparing its
+1-minors' words, from the slide-free recurrence, with the input's.
 The pipeline is complete for n >= 5; for n <= 4 exhaustive search gives
 a total answer (Unique, Ambiguous with all candidates, or Invalid).
 """
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .core import (
     Cell,
@@ -21,12 +28,14 @@ from .core import (
     enumerate_syt_all,
     is_rectangular,
     outer_corners,
-    shape_union,
 )
 from .taquin import (
     Deck,
     DeckMultiset,
     NotADeckError,
+    _minor_words,
+    _tableau_of,
+    _word_of,
     minor_multiset,
     minor_set,
 )
@@ -106,10 +115,13 @@ def reconstruct_shape(deck: Deck) -> Partition:
     the shape.
     """
     _check_one_minor_deck(deck)
-    n = deck.n
+    return _shape(deck.n, {member.shape for member in deck.members})
+
+
+def _shape(n: int, shapes: set[Partition]) -> Partition:
+    """reconstruct_shape from the set of the members' shapes."""
     if n < 3:
         raise TooSmallError(f"shape is not determined for n={n} < 3")
-    shapes = {member.shape for member in deck.members}
     if len(shapes) == 1:
         (mu,) = shapes
         if len(mu) == 1:
@@ -118,12 +130,12 @@ def reconstruct_shape(deck: Deck) -> Partition:
             shape = (1,) * (len(mu) + 1)
         else:
             shape = mu[:-1] + (mu[-1] + 1,)
-        if not is_rectangular(shape):
+        if not is_rectangular(shape):  # raises ShapeError for a non-partition
             raise NotADeckError(
                 f"members share shape {mu} but no rectangle yields it"
             )
     else:
-        shape = shape_union(shapes)
+        shape = tuple(map(max, zip_longest(*shapes, fillvalue=0)))
     if sum(shape) != n:
         raise NotADeckError(
             f"inferred shape {shape} has {sum(shape)} cells, expected {n}"
@@ -144,42 +156,42 @@ def locate_max(deck: Deck) -> Cell:
     once n >= 4.
     """
     _check_one_minor_deck(deck)
-    return _locate_max(deck, reconstruct_shape(deck) if deck.n >= 4 else ())
+    shape = reconstruct_shape(deck) if deck.n >= 4 else ()
+    return _locate(deck.n, shape, _tops(deck))
 
 
-def _locate_max(deck: Deck, shape: Partition) -> Cell:
-    """locate_max given the deck's shape; below n = 4 the shape is unused."""
-    n = deck.n
+def _tops(deck: Deck) -> list[tuple[Partition, Cell]]:
+    """Each member's shape and the cell of its largest entry n - 1."""
+    return [
+        (member.shape, (r, len(row)))
+        for member in deck.members
+        for r, row in enumerate(member.rows, 1)
+        if row[-1] == deck.n - 1
+    ]
+
+
+def _locate(n: int, shape: Partition, tops) -> Cell:
+    """locate_max from the shape and, for each distinct member, its shape
+    and the cell of its n-1.  A member shows n-1 exactly at that cell and
+    a smaller entry at every other cell its shape covers."""
     if n < 4:
         raise TooSmallError(f"location of n is not determined for n={n} < 4")
     corners = outer_corners(shape)
     if len(corners) == 1:
         return corners[0]
-
-    def survives(member: StandardTableau, cell: Cell) -> bool:
-        r, c = cell
-        return r <= len(member.shape) and member.shape[r - 1] >= c
-
-    pinned = []
-    for corner in corners:
-        showing = sum(
-            1
-            for member in deck.members
-            if survives(member, corner) and member.entry_at(corner) == n - 1
-        )
-        if showing >= 2:
-            pinned.append(corner)
+    shown = [cell for _, cell in tops]
+    pinned = [corner for corner in corners if shown.count(corner) >= 2]
     if len(pinned) == 1:
         return pinned[0]
     if len(pinned) > 1:
         raise NotADeckError("two corners each show n-1 twice")
 
     candidates = [
-        corner
-        for corner in corners
+        (r, c)
+        for r, c in corners
         if not any(
-            survives(member, corner) and member.entry_at(corner) < n - 1
-            for member in deck.members
+            cell != (r, c) and r <= len(member_shape) and member_shape[r - 1] >= c
+            for member_shape, cell in tops
         )
     ]
     if len(candidates) == 1:
@@ -251,7 +263,8 @@ def reconstruct_base(deck: Deck, shape: Partition) -> StandardTableau:
     (n-1,1) and its transpose for n >= 4 (the second-row cell holds n if
     the largest entry is located there, else the largest value seen in
     any member's second row), and (3,2) with its transpose (looked up in
-    the table of the five possible decks).
+    the table of the five possible decks).  ``shape`` must be the deck's
+    shape, as reconstruct_shape gives it.
     """
     n = deck.n
     if shape == (n,):
@@ -259,8 +272,6 @@ def reconstruct_base(deck: Deck, shape: Partition) -> StandardTableau:
     if shape == (1,) * n:
         return StandardTableau._make([v] for v in range(1, n + 1))
     if n >= 4 and shape == (n - 1, 1):
-        if locate_max(deck) == (2, 1):
-            return StandardTableau._make([range(1, n), [n]])
         second = max(
             (
                 member.entry_at((2, 1))
@@ -271,6 +282,8 @@ def reconstruct_base(deck: Deck, shape: Partition) -> StandardTableau:
         )
         if second < 2:
             raise NoMatchError("no member shows a second-row entry")
+        if _locate(n, shape, _tops(deck)) == (2, 1):
+            return StandardTableau._make([range(1, n), [n]])
         return StandardTableau._make(
             [[v for v in range(1, n + 1) if v != second], [second]]
         )
@@ -291,39 +304,56 @@ def reconstruct_base(deck: Deck, shape: Partition) -> StandardTableau:
     raise UnsupportedShapeError(f"{shape} is not a base shape")
 
 
-def _insert_at(tableau: StandardTableau, cell: Cell, value: int) -> StandardTableau:
-    """Append ``value`` in the addable ``cell`` of ``tableau``."""
-    r, c = cell
-    rows = [list(row) for row in tableau.rows]
-    if r == len(rows) + 1 and c == 1:
-        rows.append([value])
-    elif 1 <= r <= len(rows) and c == len(rows[r - 1]) + 1:
-        rows[r - 1].append(value)
-    else:
-        raise NotADeckError(
-            f"cell {cell} is not addable to shape {tableau.shape}"
-        )
-    return StandardTableau._make(rows)
+def _reconstruct_inductive(deck: Deck) -> tuple[StandardTableau, dict, list[int]]:
+    """Pipeline of shape recovery, max location and level reduction.
 
-
-def _reconstruct_inductive(deck: Deck) -> StandardTableau:
-    """Pipeline of shape recovery, max location and deck reduction.
-
-    Reduces the deck level by level down to a base shape, then inserts
-    each level's n at its located cell, innermost first.  Never falls
-    back to exhaustive search, so a deck that is not a genuine 1-minor
-    set surfaces as an error somewhere along the pipeline.
+    Reduces the level down to a base shape, then inserts each level's n
+    at its located cell, innermost first.  Returns the candidate, the
+    word of each deck member and the words of the candidate's 1-minors,
+    all packed at one width.  Never falls back to exhaustive search, so a
+    deck that is not a genuine 1-minor set surfaces as an error somewhere
+    along the pipeline or in the caller's comparison of the words.
     """
-    cells = []
+    n = deck.n
     shape = reconstruct_shape(deck)
-    while not _is_base_shape(shape, deck.n):
-        cells.append(_locate_max(deck, shape))
-        deck = reduce_deck(deck)
-        shape = reconstruct_shape(deck)
-    tableau = reconstruct_base(deck, shape)
+    # members have at most len(shape) rows, and no level's shape, so no
+    # candidate, has more than one row beyond theirs: every 0-based row is
+    # at most len(shape) < 2**width
+    width = len(shape).bit_length()
+    words = {member: _word_of(member, width) for member in deck.members}
+    level = {word: member.shape for member, word in words.items()}
+    cells = []
+    while not _is_base_shape(shape, n):
+        shift = width * (n - 2)  # bits of each member's largest entry n-1
+        low = (1 << shift) - 1
+        tops, reduced = [], {}
+        for word, member_shape in level.items():
+            r = word >> shift
+            length = member_shape[r]
+            tops.append((member_shape, (r + 1, length)))
+            reduced[word & low] = (
+                member_shape[:r] + (length - 1,) + member_shape[r + 1:]
+                if length > 1
+                else member_shape[:r]
+            )
+        cells.append(_locate(n, shape, tops))
+        level, n = reduced, n - 1
+        shape = _shape(n, set(level.values()))
+    base = Deck((_tableau_of(word, n - 1, width) for word in level), 1, n)
+    rows = [list(row) for row in reconstruct_base(base, shape).rows]
     for cell in reversed(cells):
-        tableau = _insert_at(tableau, cell, tableau.n + 1)
-    return tableau
+        r, c = cell
+        n += 1
+        if r == len(rows) + 1 and c == 1:
+            rows.append([n])
+        elif 1 <= r <= len(rows) and c == len(rows[r - 1]) + 1:
+            rows[r - 1].append(n)
+        else:
+            raise NotADeckError(
+                f"cell {cell} is not addable to shape {tuple(map(len, rows))}"
+            )
+    candidate = StandardTableau._make(rows)
+    return candidate, words, _minor_words(candidate, width)
 
 
 def _exhaustive_set(deck: Deck | DeckMultiset) -> Outcome:
@@ -354,10 +384,10 @@ def reconstruct_from_set(deck: Deck) -> Outcome:
     if deck.n <= 4:
         return _exhaustive_set(deck)
     try:
-        candidate = _reconstruct_inductive(deck)
+        candidate, words, minors = _reconstruct_inductive(deck)
     except TableauError as exc:
         return Invalid(str(exc))
-    if minor_set(candidate, 1) != deck:
+    if set(minors) != set(words.values()):
         return Invalid("reconstructed candidate has a different deck")
     return Unique(candidate)
 
@@ -376,12 +406,11 @@ def reconstruct_from_multiset(cards: DeckMultiset) -> Outcome:
         return _exhaustive_set(cards)
     support = cards.support()
     try:
-        candidate = _reconstruct_inductive(support)
+        candidate, words, minors = _reconstruct_inductive(support)
     except TableauError as exc:
         return Invalid(str(exc))
-    rebuilt = minor_multiset(candidate, 1)
-    if rebuilt.support() != support:
+    if set(minors) != set(words.values()):
         return Invalid("reconstructed candidate has a different deck")
-    if rebuilt != cards:
+    if Counter(minors) != Counter({words[m]: mult for m, mult in cards}):
         return Invalid("reconstructed candidate has a different multiset")
     return Unique(candidate)

@@ -103,6 +103,73 @@ def slide_path(tableau: StandardTableau, m: int) -> tuple[Cell, ...]:
     return tuple(path)
 
 
+# a walk node is (word, row lengths, minor words, slide path ends); the root
+# is the empty tableau
+_ROOT = (0, (), [], [])
+
+
+def _grow(node, width: int, leaves: bool = False, row: int | None = None):
+    """Each tableau grown from ``node`` by its next entry n at one corner
+    (only the corner in 0-based row ``row``, if given), as a walk node,
+    or with ``leaves`` as (word, minors).
+
+    A word holds the 0-based row of entry v in bits width*(v-1) to
+    width*v - 1, so at most 2**width rows; minors[m - 1] is the word of
+    T - m, and a cell is packed as col << width | row.  Let T add n at
+    cell c of P, and q end m's slide path in P.  If c is right of or
+    below q, the slide in T goes on into c, so T - m is P - m with n - 1
+    at q and the path ends at c; otherwise T - m is P - m with n - 1 at c
+    and the path still ends at q.  T - n = P.  So no minor needs a slide.
+    """
+    word, lens, minors, ends = node
+    p = len(minors)
+    low = max(width * (p - 1), 0)  # bits of the new entry n - 1 in each T - m
+    for r, col in enumerate(lens + (0,)):
+        if r and lens[r - 1] == col or row is not None and r != row:
+            continue
+        cell = col << width | r
+        left, up = cell - (1 << width), (cell - 1 if r else -1)
+        here, above = r << low, (r - 1) << low
+        kids = [m | (above if q == up else here) for m, q in zip(minors, ends)]
+        kids.append(word)
+        grown = word | r << width * p
+        if leaves:
+            yield grown, kids
+            continue
+        kid_ends = [cell if q == left or q == up else q for q in ends]
+        kid_ends.append(cell)
+        yield grown, lens[:r] + (col + 1,) + lens[r + 1:], kids, kid_ends
+
+
+def _minor_words(tableau: StandardTableau, width: int) -> list[int]:
+    """Words of tableau - 1, ..., tableau - n (n >= 1), by _grow from the
+    empty tableau one entry at a time."""
+    entry_rows = sorted((v, r) for r, row in enumerate(tableau.rows) for v in row)
+    node = _ROOT
+    for _, r in entry_rows[:-1]:
+        (node,) = _grow(node, width, row=r)
+    ((_, minors),) = _grow(node, width, leaves=True, row=entry_rows[-1][1])
+    return minors
+
+
+def _word_of(tableau: StandardTableau, width: int) -> int:
+    """The packed row word of ``tableau``, ``width`` bits per entry."""
+    return sum(
+        r << width * (v - 1)
+        for r, row in enumerate(tableau.rows[1:], 1)
+        for v in row
+    )
+
+
+def _tableau_of(word: int, n: int, width: int) -> StandardTableau:
+    """The size-n tableau with packed row word ``word``."""
+    rows: list[list[int]] = [[] for _ in range(n)]
+    mask = (1 << width) - 1
+    for v in range(1, n + 1):
+        rows[word >> width * (v - 1) & mask].append(v)
+    return StandardTableau._make(row for row in rows if row)
+
+
 def _check_sizes(members, k: int, n: int, noun: str) -> None:
     """Deck members must have n - k entries, with integers k in 0..n."""
     if type(k) is not int or type(n) is not int:

@@ -201,6 +201,7 @@ def test_hbound_exact_guard_needs_force(capsys):
     status, _, err = invoke(capsys, "hbound", "--n", "12", "--exact")
     assert status == 1
     assert err.startswith("error:")
+    assert "--force" in err
 
 
 def test_verify_runs_clean_suites(capsys):

@@ -6,6 +6,8 @@ exhaustive loops confirm each pipeline stage against every tableau of
 small sizes, leaving the largest sizes to the acceptance suite.
 """
 
+import random
+
 import pytest
 
 from tabrec.core import StandardTableau, enumerate_syt, enumerate_syt_all
@@ -29,6 +31,8 @@ from tabrec.taquin import (
     Deck,
     DeckMultiset,
     NotADeckError,
+    _minor_words,
+    _tableau_of,
     delete_entry,
     minor_multiset,
     minor_set,
@@ -356,3 +360,100 @@ def test_deep_deck_reconstructs_without_recursion():
     # 1100 levels: far deeper than the interpreter's recursion limit
     t = StandardTableau([[1, 2, *range(5, 1101)], [3, 4]])
     assert reconstruct_from_set(minor_set(t, 1)) == Unique(t)
+
+
+def grown_tableau(n, rng, tall):
+    """A size-n tableau grown by adding corners at random; ``tall`` sends
+    every third entry to a new row."""
+    rows = []
+    for v in range(1, n + 1):
+        addable = [
+            r for r in range(len(rows) + 1)
+            if r in (0, len(rows)) or len(rows[r]) < len(rows[r - 1])
+        ]
+        r = len(rows) if tall and v % 3 == 0 else rng.choice(addable)
+        if r == len(rows):
+            rows.append([])
+        rows[r].append(v)
+    return StandardTableau(rows)
+
+
+def grown_tableaux():
+    """Seeded tableaux from n = 5 to 300, some of them over 16 rows."""
+    rng = random.Random(20211018)
+    sizes = [5, 6, 7, 9, 12, 17, 25, 40, 60, 90, 130, 200, 300]
+    tableaux = [grown_tableau(n, rng, tall=False) for n in sizes]
+    tableaux += [grown_tableau(n, rng, tall=True) for n in (50, 120)]
+    return tableaux
+
+
+# the recursive reference takes about 0.2 s on one deck at n = 130, 0.6 s at
+# n = 200 and 2.5 s at n = 300, so larger decks are checked for soundness alone
+REFERENCE_MAX_N = 120
+
+
+def test_recurrence_matches_delete_entry_at_every_width():
+    small = [t for n in range(1, 9) for t in enumerate_syt_all(n)]
+    for t in small + grown_tableaux():
+        least = len(t.shape).bit_length()
+        for width in {least, max(least, 4)}:
+            minors = _minor_words(t, width)
+            assert [_tableau_of(w, t.n - 1, width) for w in minors] == [
+                delete_entry(t, m) for m in range(1, t.n + 1)
+            ], (t.to_text(), width)
+
+
+def test_random_round_trips_and_perturbations_match_reference():
+    rng = random.Random(7)
+    tableaux = grown_tableaux()
+    assert max(len(t.shape) for t in tableaux) > 16
+    for t in tableaux:
+        n = t.n
+        deck = minor_set(t, 1)
+        cards = minor_multiset(t, 1)
+        assert reconstruct_from_set(deck) == Unique(t)
+        assert reconstruct_from_multiset(cards) == Unique(t)
+        other = grown_tableau(n, rng, tall=False)
+        foreign = [m for m in minor_set(other, 1) if m not in deck]
+        j = rng.randrange(len(deck))
+        dropped = deck.members[j]
+        decks = [Deck(deck.members[:j] + deck.members[j + 1:], 1, n)]
+        decks += [Deck(deck.members + (m,), 1, n) for m in foreign[:1]]
+        # a multiset keeps n cards: a dropped member's copies go to another
+        # member, and a foreign card takes the place of one copy
+        counts = dict(cards.cards)
+        multisets = []
+        if len(counts) > 1:
+            rest = dict(counts)
+            heir = next(m for m in rest if m != dropped)
+            rest[heir] += rest.pop(dropped)
+            multisets.append(DeckMultiset(rest.items(), 1, n))
+        if foreign:
+            plus = dict(counts)
+            plus[dropped] -= 1
+            plus[foreign[0]] = 1
+            multisets.append(
+                DeckMultiset(((m, k) for m, k in plus.items() if k), 1, n)
+            )
+        pairs = [
+            (a, b) for a, b in zip(cards.cards, cards.cards[1:]) if a[1] != b[1]
+        ]
+        if pairs:
+            (a, x), (b, y) = rng.choice(pairs)
+            swapped = dict(counts)
+            swapped[a], swapped[b] = y, x
+            multisets.append(DeckMultiset(swapped.items(), 1, n))
+        for d in decks:
+            outcome = reconstruct_from_set(d)
+            assert isinstance(outcome, Invalid) or (
+                minor_set(outcome.tableau, 1) == d
+            )
+            if n <= REFERENCE_MAX_N:
+                assert outcome == reference_from_set(d), t.to_text()
+        for m in multisets:
+            outcome = reconstruct_from_multiset(m)
+            assert isinstance(outcome, Invalid) or (
+                minor_multiset(outcome.tableau, 1) == m
+            )
+            if n <= REFERENCE_MAX_N:
+                assert outcome == reference_from_multiset(m), t.to_text()
