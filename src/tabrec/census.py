@@ -34,7 +34,7 @@ from .reconstruct import (
 )
 from .taquin import (
     _ROOT,
-    _grow,
+    _add,
     _tableau_of,
     OutOfRangeError,
     ResourceLimitError,
@@ -167,8 +167,11 @@ _WIDTH = 4  # bits per entry in census words: 16 rows, enough below the cap
 
 
 def _children(node, leaves=False):
-    """taquin._grow at width 4."""
-    return _grow(node, _WIDTH, leaves)
+    """taquin._add at width 4 at each corner of ``node``, top row first."""
+    lens = node[1]
+    for r, col in enumerate(lens + (0,)):
+        if not r or lens[r - 1] > col:
+            yield _add(node, r, _WIDTH, leaves)
 
 
 def _nodes(n: int, node=_ROOT):
@@ -423,27 +426,20 @@ def with_exact(report: HBoundReport, force: bool = False) -> HBoundReport:
 
 def suite_shape_recovery(max_n: int) -> list[str]:
     """Shape recovered from the deck matches the true shape, n = 3..max_n."""
-    violations = []
-    for t in _walk(3, max_n):
-        got = reconstruct_shape(minor_set(t, 1))
-        if got != t.shape:
-            violations.append(
-                f"shape of {t.to_text()!r}: got {got}, want {t.shape}"
-            )
-    return violations
+    return [
+        f"shape of {t.to_text()!r}: got {got}, want {t.shape}"
+        for t in _walk(3, max_n)
+        if (got := reconstruct_shape(minor_set(t, 1))) != t.shape
+    ]
 
 
 def suite_max_location(max_n: int) -> list[str]:
     """Located cell of n matches the true cell, n = 4..max_n."""
-    violations = []
-    for t in _walk(4, max_n):
-        got = locate_max(minor_set(t, 1))
-        if got != t.cell_of(t.n):
-            violations.append(
-                f"location of {t.n} in {t.to_text()!r}: got {got}, "
-                f"want {t.cell_of(t.n)}"
-            )
-    return violations
+    return [
+        f"location of {t.n} in {t.to_text()!r}: got {got}, want {want}"
+        for t in _walk(4, max_n)
+        if (got := locate_max(minor_set(t, 1))) != (want := t.cell_of(t.n))
+    ]
 
 
 def suite_deck_reduction(max_n: int) -> list[str]:
@@ -470,31 +466,33 @@ def suite_deck_reduction(max_n: int) -> list[str]:
 
 
 def suite_base_decks(max_n: int) -> list[str]:
-    """The five shape-(3,2) decks are pairwise distinct, and each (3,2) or
-    (2,2,1) tableau comes back from its deck through reconstruct_base."""
+    """Every tableau of a base shape - a row, a column, (n-1,1) or its
+    transpose for n >= 4, (3,2) or (2,2,1) - with n <= max_n entries comes
+    back from its deck through reconstruct_base."""
+    _check_cap(max_n)
     violations = []
-    decks = {minor_set(t, 1) for t in enumerate_syt((3, 2))}
-    if len(decks) != 5:
-        violations.append(f"shape (3,2) has {len(decks)} distinct decks, want 5")
-    for shape in ((3, 2), (2, 2, 1)):
-        for t in enumerate_syt(shape):
-            if reconstruct_base(minor_set(t, 1), shape) != t:
-                violations.append(
-                    f"base reconstruction of {t.to_text()!r} failed"
-                )
+    for n in range(1, max_n + 1):
+        shapes = {(n,), (1,) * n}
+        if n >= 4:
+            shapes |= {(n - 1, 1), (2,) + (1,) * (n - 2)}
+        if n == 5:
+            shapes |= {(3, 2), (2, 2, 1)}
+        for shape in sorted(shapes, reverse=True):
+            for t in enumerate_syt(shape):
+                if reconstruct_base(minor_set(t, 1), shape) != t:
+                    violations.append(
+                        f"base reconstruction of {t.to_text()!r} failed"
+                    )
     return violations
 
 
 def suite_round_trip(max_n: int) -> list[str]:
     """Every tableau is reconstructed from its deck, n = 5..max_n."""
-    violations = []
-    for t in _walk(5, max_n):
-        outcome = reconstruct_from_set(minor_set(t, 1))
-        if outcome != Unique(t):
-            violations.append(
-                f"round trip of {t.to_text()!r}: {format_outcome(outcome)}"
-            )
-    return violations
+    return [
+        f"round trip of {t.to_text()!r}: {format_outcome(outcome)}"
+        for t in _walk(5, max_n)
+        if (outcome := reconstruct_from_set(minor_set(t, 1))) != Unique(t)
+    ]
 
 
 def suite_small_sizes(max_n: int) -> list[str]:

@@ -8,9 +8,9 @@ two-column) shapes whose second line has one cell, and the shapes (3,2)
 and (2,2,1), which are matched against a frozen table of their five
 possible decks; then each level's n goes back in at its located cell.
 A level is a map from each member's packed row word (as in
-taquin._grow) to its shape, so reducing it is a mask and one shorter
-row; only the base level is decoded, once, into the Deck that
-reconstruct_base takes.  The candidate is re-checked by comparing its
+taquin._add) to its shape, so reducing it is a mask and one shorter
+row, and the base case is decided on the base level's words; no level
+is decoded into tableaux.  The candidate is re-checked by comparing its
 1-minors' words, from the slide-free recurrence, with the input's.
 The pipeline is complete for n >= 5; for n <= 4 exhaustive search gives
 a total answer (Unique, Ambiguous with all candidates, or Invalid).
@@ -27,14 +27,12 @@ from .core import (
     TableauError,
     enumerate_syt_all,
     is_rectangular,
-    outer_corners,
 )
 from .taquin import (
     Deck,
     DeckMultiset,
     NotADeckError,
     _minor_words,
-    _tableau_of,
     _word_of,
     minor_multiset,
     minor_set,
@@ -157,17 +155,13 @@ def locate_max(deck: Deck) -> Cell:
     """
     _check_one_minor_deck(deck)
     shape = reconstruct_shape(deck) if deck.n >= 4 else ()
-    return _locate(deck.n, shape, _tops(deck))
-
-
-def _tops(deck: Deck) -> list[tuple[Partition, Cell]]:
-    """Each member's shape and the cell of its largest entry n - 1."""
-    return [
+    tops = [
         (member.shape, (r, len(row)))
         for member in deck.members
         for r, row in enumerate(member.rows, 1)
         if row[-1] == deck.n - 1
     ]
+    return _locate(deck.n, shape, tops)
 
 
 def _locate(n: int, shape: Partition, tops) -> Cell:
@@ -176,7 +170,9 @@ def _locate(n: int, shape: Partition, tops) -> Cell:
     a smaller entry at every other cell its shape covers."""
     if n < 4:
         raise TooSmallError(f"location of n is not determined for n={n} < 4")
-    corners = outer_corners(shape)
+    corners = [
+        (r, p) for r, (p, q) in enumerate(zip(shape, shape[1:] + (0,)), 1) if q < p
+    ]
     if len(corners) == 1:
         return corners[0]
     shown = [cell for _, cell in tops]
@@ -239,81 +235,93 @@ _BASE_32_TEXT = {
     "1 3 5 / 2 4": ("1 2 4 / 3", "1 3 4 / 2", "1 3 / 2 4"),
 }
 
-_DECK_TABLE_32 = {
-    frozenset(members): StandardTableau.from_text(text)
-    for text, members in _BASE_32_TEXT.items()
-}
+
+def _row_tuple(word: int, n: int, width: int) -> tuple[int, ...]:
+    """The 0-based row of each entry 1..n of a packed row word."""
+    mask = (1 << width) - 1
+    return tuple(word >> width * i & mask for i in range(n))
 
 
-def _is_base_shape(shape: Partition, n: int) -> bool:
-    return (
-        shape == (n,)
-        or shape == (1,) * n
-        or (n >= 4 and shape == (n - 1, 1))
-        or (n >= 4 and shape == (2,) + (1,) * (n - 2))
-        or shape == (3, 2)
-        or shape == (2, 2, 1)
+# the five (3,2) decks and, transposed, the five (2,2,1) decks, keyed by the
+# set of the members' row tuples
+_BASE_TABLE = {
+    frozenset(_row_tuple(_word_of(flip(m), 2), 4, 2) for m in members): flip(t)
+    for t, members in (
+        (StandardTableau.from_text(text), list(map(StandardTableau.from_text, ms)))
+        for text, ms in _BASE_32_TEXT.items()
     )
+    for flip in (lambda t: t, StandardTableau.transpose)
+}
 
 
 def reconstruct_base(deck: Deck, shape: Partition) -> StandardTableau:
     """The unique tableau of a base shape whose set of 1-minors is ``deck``.
 
     Base shapes: (n) and its transpose (filled the only possible way),
-    (n-1,1) and its transpose for n >= 4 (the second-row cell holds n if
-    the largest entry is located there, else the largest value seen in
-    any member's second row), and (3,2) with its transpose (looked up in
-    the table of the five possible decks).  ``shape`` must be the deck's
-    shape, as reconstruct_shape gives it.
+    (n-1,1) and its transpose for n >= 4 (the cell off the long line
+    holds n if the largest entry is located there, else the largest
+    value any member shows in that cell), and (3,2) with its transpose
+    (looked up in the table of the five possible decks).  ``shape`` must
+    be the deck's shape, as reconstruct_shape gives it.
     """
-    n = deck.n
+    if deck.k != 1:
+        raise NotADeckError(f"expected a deck of 1-minors, got k={deck.k}")
+    width = deck.n.bit_length()  # fits every row index
+    level = {_word_of(m, width): m.shape for m in deck.members}
+    base = _base(deck.n, shape, level, width)
+    if base is None:
+        raise UnsupportedShapeError(f"{shape} is not a base shape")
+    return base
+
+
+def _base(n: int, shape: Partition, level: dict, width: int):
+    """reconstruct_base on a level, each member's packed row word mapped
+    to its shape; None if ``shape`` is not a base shape."""
     if shape == (n,):
         return StandardTableau._make([range(1, n + 1)])
     if shape == (1,) * n:
         return StandardTableau._make([v] for v in range(1, n + 1))
-    if n >= 4 and shape == (n - 1, 1):
-        second = max(
-            (
-                member.entry_at((2, 1))
-                for member in deck.members
-                if len(member.shape) == 2
-            ),
-            default=0,
-        )
-        if second < 2:
+    if n >= 4 and (shape == (n - 1, 1) or shape == (2,) + (1,) * (n - 2)):
+        # the cell off the long line is (1,2) if the hook is transposed;
+        # _locate commutes with transposition, so no member is transposed
+        flip = shape[0] == 2
+        seconds = [
+            rows.index(0, 1) + 1 if flip else rows.index(1) + 1
+            for w, s in level.items()
+            if (s[0] if flip else len(s)) == 2
+            for rows in [_row_tuple(w, n - 1, width)]
+        ]
+        if not seconds:
             raise NoMatchError("no member shows a second-row entry")
-        if _locate(n, shape, _tops(deck)) == (2, 1):
-            return StandardTableau._make([range(1, n), [n]])
-        return StandardTableau._make(
-            [[v for v in range(1, n + 1) if v != second], [second]]
-        )
-    if n >= 4 and shape == (2,) + (1,) * (n - 2):
-        flipped = reconstruct_base(deck.transpose(), (n - 1, 1))
-        return flipped.transpose()
-    if shape == (3, 2):
-        key = frozenset(member.to_text() for member in deck.members)
-        try:
-            return _DECK_TABLE_32[key]
-        except KeyError:
-            raise NoMatchError(
-                "deck matches none of the five shape-(3,2) decks"
-            ) from None
-    if shape == (2, 2, 1):
-        flipped = reconstruct_base(deck.transpose(), (3, 2))
-        return flipped.transpose()
-    raise UnsupportedShapeError(f"{shape} is not a base shape")
+        shift = width * (n - 2)  # bits of each member's largest entry n-1
+        tops = [(s, (r + 1, s[r])) for w, s in level.items() for r in [w >> shift]]
+        lone = (1, 2) if flip else (2, 1)
+        entry = n if _locate(n, shape, tops) == lone else max(seconds)
+        rest = [v for v in range(2, n + 1) if v != entry]
+        if flip:
+            return StandardTableau._make([[1, entry]] + [[v] for v in rest])
+        return StandardTableau._make([[1] + rest, [entry]])
+    if shape == (3, 2) or shape == (2, 2, 1):
+        key = frozenset(_row_tuple(w, n - 1, width) for w in level)
+        found = _BASE_TABLE.get(key)
+        if found is None or found.shape != shape:
+            raise NoMatchError("deck matches none of the five shape-(3,2) decks")
+        return found
+    return None
 
 
-def _reconstruct_inductive(deck: Deck) -> tuple[StandardTableau, dict, list[int]]:
+def _reconstruct_inductive(deck: Deck | DeckMultiset) -> StandardTableau:
     """Pipeline of shape recovery, max location and level reduction.
 
     Reduces the level down to a base shape, then inserts each level's n
-    at its located cell, innermost first.  Returns the candidate, the
-    word of each deck member and the words of the candidate's 1-minors,
-    all packed at one width.  Never falls back to exhaustive search, so a
-    deck that is not a genuine 1-minor set surfaces as an error somewhere
-    along the pipeline or in the caller's comparison of the words.
+    at its located cell, innermost first.  The candidate's 1-minors, as
+    words packed at one width, must then be the members' words; a
+    multiset runs on its support, and its multiplicities are re-checked
+    too.  Never falls back to exhaustive search, so a deck that is not a
+    genuine 1-minor set surfaces as an error somewhere along the way.
     """
+    cards = deck.cards if isinstance(deck, DeckMultiset) else ()
+    deck = deck.support() if cards else deck
     n = deck.n
     shape = reconstruct_shape(deck)
     # members have at most len(shape) rows, and no level's shape, so no
@@ -323,7 +331,7 @@ def _reconstruct_inductive(deck: Deck) -> tuple[StandardTableau, dict, list[int]
     words = {member: _word_of(member, width) for member in deck.members}
     level = {word: member.shape for member, word in words.items()}
     cells = []
-    while not _is_base_shape(shape, n):
+    while (base := _base(n, shape, level, width)) is None:
         shift = width * (n - 2)  # bits of each member's largest entry n-1
         low = (1 << shift) - 1
         tops, reduced = [], {}
@@ -339,8 +347,7 @@ def _reconstruct_inductive(deck: Deck) -> tuple[StandardTableau, dict, list[int]
         cells.append(_locate(n, shape, tops))
         level, n = reduced, n - 1
         shape = _shape(n, set(level.values()))
-    base = Deck((_tableau_of(word, n - 1, width) for word in level), 1, n)
-    rows = [list(row) for row in reconstruct_base(base, shape).rows]
+    rows = [list(row) for row in base.rows]
     for cell in reversed(cells):
         r, c = cell
         n += 1
@@ -353,7 +360,12 @@ def _reconstruct_inductive(deck: Deck) -> tuple[StandardTableau, dict, list[int]
                 f"cell {cell} is not addable to shape {tuple(map(len, rows))}"
             )
     candidate = StandardTableau._make(rows)
-    return candidate, words, _minor_words(candidate, width)
+    minors = _minor_words(candidate, width)
+    if set(minors) != set(words.values()):
+        raise NotADeckError("reconstructed candidate has a different deck")
+    if cards and Counter(minors) != Counter({words[m]: k for m, k in cards}):
+        raise NotADeckError("reconstructed candidate has a different multiset")
+    return candidate
 
 
 def _exhaustive_set(deck: Deck | DeckMultiset) -> Outcome:
@@ -379,17 +391,7 @@ def reconstruct_from_set(deck: Deck) -> Outcome:
     n <= 4 exhaustive search settles the question, so the small
     ambiguous decks come back Ambiguous with every candidate listed.
     """
-    if deck.k != 1:
-        return Invalid(f"expected a deck of 1-minors, got k={deck.k}")
-    if deck.n <= 4:
-        return _exhaustive_set(deck)
-    try:
-        candidate, words, minors = _reconstruct_inductive(deck)
-    except TableauError as exc:
-        return Invalid(str(exc))
-    if set(minors) != set(words.values()):
-        return Invalid("reconstructed candidate has a different deck")
-    return Unique(candidate)
+    return _reconstruct(deck)
 
 
 def reconstruct_from_multiset(cards: DeckMultiset) -> Outcome:
@@ -400,17 +402,16 @@ def reconstruct_from_multiset(cards: DeckMultiset) -> Outcome:
     the multiplicities.  For n <= 4 exhaustive search compares multisets,
     which splits decks the coarser set comparison conflates.
     """
-    if cards.k != 1:
-        return Invalid(f"expected a deck of 1-minors, got k={cards.k}")
-    if cards.n <= 4:
-        return _exhaustive_set(cards)
-    support = cards.support()
+    return _reconstruct(cards)
+
+
+def _reconstruct(deck: Deck | DeckMultiset) -> Outcome:
+    """reconstruct_from_set, or reconstruct_from_multiset for a multiset."""
+    if deck.k != 1:
+        return Invalid(f"expected a deck of 1-minors, got k={deck.k}")
+    if deck.n <= 4:
+        return _exhaustive_set(deck)
     try:
-        candidate, words, minors = _reconstruct_inductive(support)
+        return Unique(_reconstruct_inductive(deck))
     except TableauError as exc:
         return Invalid(str(exc))
-    if set(minors) != set(words.values()):
-        return Invalid("reconstructed candidate has a different deck")
-    if Counter(minors) != Counter({words[m]: mult for m, mult in cards}):
-        return Invalid("reconstructed candidate has a different multiset")
-    return Unique(candidate)

@@ -47,13 +47,14 @@ def _slide(tableau: StandardTableau, m: int) -> tuple[list[Cell], list[list[int]
     """Vacate the cell of m and slide the hole to an outer corner.
 
     Returns the hole's cell trajectory (1-based, starting at m's cell)
-    and the rows after sliding, with the vacated corner removed but
-    entries not yet renumbered.
+    and the rows after sliding, with the vacated corner removed.  Every
+    entry p > m is renumbered to p - 1 while the rows are copied; that
+    keeps their order, so the slide moves the same entries.
     """
     n = tableau.n
     if not 1 <= m <= n:
         raise OutOfRangeError(f"entry {m} outside 1..{n}")
-    rows = [list(row) for row in tableau.rows]
+    rows = [[v - 1 if v > m else v for v in row] for row in tableau.rows]
     r, c = tableau.cell_of(m)
     i, j = r - 1, c - 1
     path = [(r, c)]
@@ -87,10 +88,7 @@ def delete_entry(tableau: StandardTableau, m: int) -> StandardTableau:
     Deleting the single entry of a one-cell tableau yields the empty
     tableau.
     """
-    _, rows = _slide(tableau, m)
-    return StandardTableau._make(
-        [[v - 1 if v > m else v for v in row] for row in rows]
-    )
+    return StandardTableau._make(_slide(tableau, m)[1])
 
 
 def slide_path(tableau: StandardTableau, m: int) -> tuple[Cell, ...]:
@@ -108,10 +106,9 @@ def slide_path(tableau: StandardTableau, m: int) -> tuple[Cell, ...]:
 _ROOT = (0, (), [], [])
 
 
-def _grow(node, width: int, leaves: bool = False, row: int | None = None):
-    """Each tableau grown from ``node`` by its next entry n at one corner
-    (only the corner in 0-based row ``row``, if given), as a walk node,
-    or with ``leaves`` as (word, minors).
+def _add(node, r: int, width: int, leaf: bool = False):
+    """The tableau grown from ``node`` by its next entry n at the end of
+    0-based row ``r``, as a walk node, or with ``leaf`` as (word, minors).
 
     A word holds the 0-based row of entry v in bits width*(v-1) to
     width*v - 1, so at most 2**width rows; minors[m - 1] is the word of
@@ -123,33 +120,33 @@ def _grow(node, width: int, leaves: bool = False, row: int | None = None):
     """
     word, lens, minors, ends = node
     p = len(minors)
-    low = max(width * (p - 1), 0)  # bits of the new entry n - 1 in each T - m
-    for r, col in enumerate(lens + (0,)):
-        if r and lens[r - 1] == col or row is not None and r != row:
-            continue
-        cell = col << width | r
-        left, up = cell - (1 << width), (cell - 1 if r else -1)
-        here, above = r << low, (r - 1) << low
+    col = lens[r] if r < len(lens) else 0
+    cell = col << width | r
+    if r:
+        up = cell - 1
+        here = r << width * (p - 1)  # bits of the new entry n - 1 in T - m
+        above = here - (1 << width * (p - 1))
         kids = [m | (above if q == up else here) for m, q in zip(minors, ends)]
-        kids.append(word)
-        grown = word | r << width * p
-        if leaves:
-            yield grown, kids
-            continue
-        kid_ends = [cell if q == left or q == up else q for q in ends]
-        kid_ends.append(cell)
-        yield grown, lens[:r] + (col + 1,) + lens[r + 1:], kids, kid_ends
+    else:  # n - 1 lands in row 0 of every T - m, so no word changes
+        up = -1
+        kids = minors[:]
+    kids.append(word)
+    grown = word | r << width * p
+    if leaf:
+        return grown, kids
+    left = cell - (1 << width)
+    kid_ends = [cell if q == left or q == up else q for q in ends]
+    kid_ends.append(cell)
+    return grown, lens[:r] + (col + 1,) + lens[r + 1:], kids, kid_ends
 
 
 def _minor_words(tableau: StandardTableau, width: int) -> list[int]:
-    """Words of tableau - 1, ..., tableau - n (n >= 1), by _grow from the
+    """Words of tableau - 1, ..., tableau - n (n >= 1), by _add from the
     empty tableau one entry at a time."""
-    entry_rows = sorted((v, r) for r, row in enumerate(tableau.rows) for v in row)
     node = _ROOT
-    for _, r in entry_rows[:-1]:
-        (node,) = _grow(node, width, row=r)
-    ((_, minors),) = _grow(node, width, leaves=True, row=entry_rows[-1][1])
-    return minors
+    for _, r in sorted((v, r) for r, row in enumerate(tableau.rows) for v in row):
+        node = _add(node, r, width)
+    return node[2]
 
 
 def _word_of(tableau: StandardTableau, width: int) -> int:

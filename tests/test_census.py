@@ -371,7 +371,9 @@ def test_verify_proposition_size_cap():
         verify_proposition(10**12)
 
 
-PER_TABLEAU_SUITES = ("lemma3.1", "lemma3.2", "lemma3.3", "theorem3.7")
+PER_TABLEAU_SUITES = (
+    "lemma3.1", "lemma3.2", "lemma3.3", "lemma3.6", "theorem3.7",
+)
 # the package re-exports the census function under the module's name
 census_module = importlib.import_module("tabrec.census")
 

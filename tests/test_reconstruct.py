@@ -13,6 +13,8 @@ import pytest
 from tabrec.core import StandardTableau, enumerate_syt, enumerate_syt_all
 from tabrec.core import TableauError
 from tabrec.reconstruct import (
+    _BASE_32_TEXT,
+    _locate,
     Ambiguous,
     Invalid,
     NoMatchError,
@@ -147,6 +149,8 @@ def test_base_errors():
         reconstruct_base(deck_of("1 2 / 3 4", n=5), (3, 2))
     with pytest.raises(NoMatchError):
         reconstruct_base(deck_of("1 2 3 4", n=5), (4, 1))
+    with pytest.raises(NotADeckError):
+        reconstruct_base(Deck([text("1 2")], 2, 4), (4,))
 
 
 def test_from_set_published_outcomes():
@@ -283,12 +287,114 @@ def test_unchecked_tableaux_pass_validation():
                 assert hash(checked) == hash(x)
 
 
+REFERENCE_TABLE_32 = {
+    frozenset(members): text(t) for t, members in _BASE_32_TEXT.items()
+}
+
+
+def reference_base(deck, shape):
+    """Lemma 3.6 on a sorted Deck: the hook reads each member's (2, 1)
+    entry, transposes go through Deck.transpose, and (3,2) looks up the
+    members' text."""
+    n = deck.n
+    if shape == (n,):
+        return StandardTableau._make([range(1, n + 1)])
+    if shape == (1,) * n:
+        return StandardTableau._make([v] for v in range(1, n + 1))
+    if n >= 4 and shape == (n - 1, 1):
+        second = max(
+            (
+                member.entry_at((2, 1))
+                for member in deck.members
+                if len(member.shape) == 2
+            ),
+            default=0,
+        )
+        if second < 2:
+            raise NoMatchError("no member shows a second-row entry")
+        tops = [
+            (member.shape, member.cell_of(n - 1)) for member in deck.members
+        ]
+        if _locate(n, shape, tops) == (2, 1):
+            return StandardTableau._make([range(1, n), [n]])
+        return StandardTableau._make(
+            [[v for v in range(1, n + 1) if v != second], [second]]
+        )
+    if n >= 4 and shape == (2,) + (1,) * (n - 2):
+        return reference_base(deck.transpose(), (n - 1, 1)).transpose()
+    if shape == (3, 2):
+        key = frozenset(member.to_text() for member in deck.members)
+        try:
+            return REFERENCE_TABLE_32[key]
+        except KeyError:
+            raise NoMatchError(
+                "deck matches none of the five shape-(3,2) decks"
+            ) from None
+    if shape == (2, 2, 1):
+        return reference_base(deck.transpose(), (3, 2)).transpose()
+    raise UnsupportedShapeError(f"{shape} is not a base shape")
+
+
+def base_shapes(n):
+    """The shapes Lemma 3.6 decides directly at size n."""
+    shapes = [(n,), (1,) * n]
+    if n >= 4:
+        shapes += [(n - 1, 1), (2,) + (1,) * (n - 2)]
+    if n == 5:
+        shapes += [(3, 2), (2, 2, 1)]
+    return shapes
+
+
+def outcome_of(f, *args):
+    """What f returns, or the type and message of the TableauError it raises."""
+    try:
+        return f(*args)
+    except TableauError as exc:
+        return type(exc), str(exc)
+
+
+def test_base_matches_deck_reference_on_perturbed_decks():
+    checked = 0
+    for n in range(1, 10):
+        tableaux = [t for s in base_shapes(n) for t in enumerate_syt(s)]
+        decks = {t: minor_set(t, 1) for t in tableaux}
+        # foreign members: every size-(n-1) tableau with at most two rows
+        # or two columns, the shapes whose entries the base rules read
+        pool = [
+            m for m in enumerate_syt_all(n - 1)
+            if len(m.shape) <= 2 or m.shape[0] <= 2
+        ]
+        for t, deck in decks.items():
+            assert reconstruct_base(deck, t.shape) == t
+            # the genuine deck against every base shape and one other shape
+            for shape in base_shapes(n) + [(n, 1)]:
+                assert outcome_of(reconstruct_base, deck, shape) == outcome_of(
+                    reference_base, deck, shape
+                ), (t.to_text(), shape)
+            variants = [
+                Deck(deck.members[:j] + deck.members[j + 1:], 1, n)
+                for j in range(len(deck))
+            ]
+            variants += [
+                Deck(deck.members + (m,), 1, n) for m in pool if m not in deck
+            ]
+            for d in variants:
+                got = outcome_of(reconstruct_base, d, t.shape)
+                assert got == outcome_of(reference_base, d, t.shape), (
+                    t.to_text(),
+                    d.to_text(),
+                )
+                checked += 1
+    assert checked > 1000
+
+
 def reference_inductive(deck):
-    """The recursive pipeline, from the public lemma functions, with deck
-    reduction by full jeu-de-taquin deletion."""
+    """The recursive pipeline, from the public lemma functions and the
+    Deck-based Lemma 3.6, with deck reduction by full jeu-de-taquin
+    deletion."""
     shape = reconstruct_shape(deck)
     try:
-        return reconstruct_base(deck, shape)
+        return reference_base(deck, shape)
     except UnsupportedShapeError:
         pass
     n = deck.n
