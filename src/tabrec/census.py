@@ -275,9 +275,7 @@ def census(n: int, k: int = 1, mode: str = "set", jobs: int = 1) -> CensusReport
 def common_minor_count(t1: StandardTableau, t2: StandardTableau) -> int:
     """Cardinality of the multiset intersection of the 1-minor multisets."""
     if t1.n != t2.n:
-        raise SizeMismatchError(
-            f"tableaux have {t1.n} and {t2.n} entries"
-        )
+        raise SizeMismatchError(f"tableaux have {t1.n} and {t2.n} entries")
     both = minor_multiset(t1, 1).counter() & minor_multiset(t2, 1).counter()
     return sum(both.values())
 
@@ -347,8 +345,10 @@ def compute_H1_exact(n: int, force: bool = False) -> int:
     A size-m submultiset of one multiset fits inside another exactly
     when m is at most their intersection size, so the answer is one more
     than the largest intersection over all pairs of distinct tableaux.
-    The multisets come from the deck walk, and an index from each 1-minor
-    to the earlier tableaux holding it skips pairs that share no minor.
+    The multisets come from the deck walk.  As min(a, b) counts the copies
+    c < a with c < b, copy c of a minor is a key of its own; an index from
+    each key to the earlier tableaux holding it lets Counter count, in C,
+    the keys each tableau shares with each earlier one.
     n > 11 requires ``force``; n past the census cap is refused either way.
     """
     if n < 5:
@@ -362,15 +362,17 @@ def compute_H1_exact(n: int, force: bool = False) -> int:
             f"pass force=True (--force on the command line) to override"
         )
     _check_cap(n)
-    holders: dict[int, list[tuple[int, int]]] = {}
+    shift = n.bit_length()  # copy numbers 0..n-1 fit below the minor word
+    holders: dict[int, list[int]] = {}  # key -> numbers of tableaux holding it
     best = 0
     for i, (_, minors) in enumerate(_deck_walk(n)):
-        shared: dict[int, int] = {}
-        for minor, mult in Counter(minors).items():
-            for j, other in holders.get(minor, ()):
-                shared[j] = shared.get(j, 0) + min(mult, other)
-            holders.setdefault(minor, []).append((i, mult))
+        minors.sort()
+        keys = (m << shift | c - minors.index(m) for c, m in enumerate(minors))
+        lists = [holders.setdefault(key, []) for key in keys]
+        shared = Counter(chain.from_iterable(lists))
         best = max(best, max(shared.values(), default=0))
+        for held in lists:
+            held.append(i)
     return best + 1
 
 
@@ -480,9 +482,7 @@ def suite_base_decks(max_n: int) -> list[str]:
         for shape in sorted(shapes, reverse=True):
             for t in enumerate_syt(shape):
                 if reconstruct_base(minor_set(t, 1), shape) != t:
-                    violations.append(
-                        f"base reconstruction of {t.to_text()!r} failed"
-                    )
+                    violations.append(f"base reconstruction of {t.to_text()!r} failed")
     return violations
 
 
@@ -522,9 +522,7 @@ def suite_small_sizes(max_n: int) -> list[str]:
         if pair is not None and report.set_ambiguous:
             got = tuple(t.to_text() for t in report.set_ambiguous[0])
             if got != pair:
-                violations.append(
-                    f"n={n}: ambiguous class {got}, want {pair}"
-                )
+                violations.append(f"n={n}: ambiguous class {got}, want {pair}")
     return violations
 
 

@@ -292,7 +292,8 @@ def _base(n: int, shape: Partition, level: dict, width: int):
             for rows in [_row_tuple(w, n - 1, width)]
         ]
         if not seconds:
-            raise NoMatchError("no member shows a second-row entry")
+            line = "column" if flip else "row"
+            raise NoMatchError(f"no member shows a second-{line} entry")
         shift = width * (n - 2)  # bits of each member's largest entry n-1
         tops = [(s, (r + 1, s[r])) for w, s in level.items() for r in [w >> shift]]
         lone = (1, 2) if flip else (2, 1)

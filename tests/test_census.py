@@ -363,6 +363,10 @@ def test_h1_exact_at_nine():
     assert compute_H1_exact(9) == 7
 
 
+def test_h1_exact_at_ten():
+    assert compute_H1_exact(10) == 8
+
+
 def test_verify_proposition_size_cap():
     assert verify_proposition(MAX_HBOUND_N).n == MAX_HBOUND_N
     with pytest.raises(ResourceLimitError, match=str(MAX_HBOUND_N)):
@@ -396,7 +400,7 @@ def test_walks_past_the_cap_fail_before_enumerating(monkeypatch):
             census(n, 1, "multiset")
         with pytest.raises(ResourceLimitError):
             differential_check(n)
-        # force lifts only the n > 9 guard, never the cap
+        # force lifts only the n > 11 guard, never the cap
         with pytest.raises(ResourceLimitError, match="1000000"):
             compute_H1_exact(n, force=True)
 

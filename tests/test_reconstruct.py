@@ -153,6 +153,20 @@ def test_base_errors():
         reconstruct_base(Deck([text("1 2")], 2, 4), (4,))
 
 
+def test_hook_errors_name_the_second_line():
+    # a hook deck with no two-row member, and its transpose with no
+    # two-column member: the reason names the line the rule reads
+    for deck, shape, line in (
+        (deck_of("1 2 3 4", n=5), (4, 1), "row"),
+        (deck_of("1 / 2 / 3 / 4", n=5), (2, 1, 1, 1), "column"),
+    ):
+        reason = f"no member shows a second-{line} entry"
+        for base in (reconstruct_base, reference_base):
+            with pytest.raises(NoMatchError) as caught:
+                base(deck, shape)
+            assert str(caught.value) == reason
+
+
 def test_from_set_published_outcomes():
     assert reconstruct_from_set(minor_set(text("1 3 5 / 2 4"), 1)) == Unique(
         text("1 3 5 / 2 4")
@@ -292,10 +306,11 @@ REFERENCE_TABLE_32 = {
 }
 
 
-def reference_base(deck, shape):
+def reference_base(deck, shape, line="row"):
     """Lemma 3.6 on a sorted Deck: the hook reads each member's (2, 1)
     entry, transposes go through Deck.transpose, and (3,2) looks up the
-    members' text."""
+    members' text.  ``line`` names the hook's second line in the error,
+    "column" when the deck came in transposed."""
     n = deck.n
     if shape == (n,):
         return StandardTableau._make([range(1, n + 1)])
@@ -311,7 +326,7 @@ def reference_base(deck, shape):
             default=0,
         )
         if second < 2:
-            raise NoMatchError("no member shows a second-row entry")
+            raise NoMatchError(f"no member shows a second-{line} entry")
         tops = [
             (member.shape, member.cell_of(n - 1)) for member in deck.members
         ]
@@ -321,7 +336,7 @@ def reference_base(deck, shape):
             [[v for v in range(1, n + 1) if v != second], [second]]
         )
     if n >= 4 and shape == (2,) + (1,) * (n - 2):
-        return reference_base(deck.transpose(), (n - 1, 1)).transpose()
+        return reference_base(deck.transpose(), (n - 1, 1), "column").transpose()
     if shape == (3, 2):
         key = frozenset(member.to_text() for member in deck.members)
         try:
