@@ -16,7 +16,7 @@ import json
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
 from .core import StandardTableau, TableauError, enumerate_syt, enumerate_syt_all
@@ -58,10 +58,6 @@ def involution_count(n: int) -> int:
     for i in range(2, n + 1):
         prev, cur = cur, cur + (i - 1) * prev
     return cur
-
-
-class SizeMismatchError(TableauError):
-    """Operands have different numbers of entries."""
 
 
 class VerificationError(TableauError):
@@ -197,11 +193,6 @@ def _shards(n: int):
     return list(_nodes(min(_SHARD_DEPTH, n - 1)))
 
 
-def _decode(word: int, n: int) -> StandardTableau:
-    """The size-n tableau with census word ``word``."""
-    return _tableau_of(word, n, _WIDTH)
-
-
 def _census_shard(node, n, k, mode):
     """(deck key, word) for each size-n tableau below ``node``; runs in
     workers.  At k = 1 the key is the sorted tuple of the minors' words,
@@ -212,7 +203,7 @@ def _census_shard(node, n, k, mode):
             return [(tuple(sorted(set(m))), word) for word, m in walk]
         return [(tuple(sorted(m)), word) for word, m in walk]
     minors = minor_set if mode == "set" else minor_multiset
-    return [(minors(_decode(word, n), k), word) for word, _ in walk]
+    return [(minors(_tableau_of(w, n, _WIDTH), k), w) for w, _ in walk]
 
 
 def census(n: int, k: int = 1, mode: str = "set", jobs: int = 1) -> CensusReport:
@@ -256,7 +247,7 @@ def census(n: int, k: int = 1, mode: str = "set", jobs: int = 1) -> CensusReport
     minors = minor_set if mode == "set" else minor_multiset
     classes = sorted(
         (
-            tuple(sorted(_decode(word, n) for word in group))
+            tuple(sorted(_tableau_of(word, n, _WIDTH) for word in group))
             for group in groups.values()
             if len(group) >= 2
         ),
@@ -270,14 +261,6 @@ def census(n: int, k: int = 1, mode: str = "set", jobs: int = 1) -> CensusReport
         total=total,
         elapsed=time.perf_counter() - start,
     )
-
-
-def common_minor_count(t1: StandardTableau, t2: StandardTableau) -> int:
-    """Cardinality of the multiset intersection of the 1-minor multisets."""
-    if t1.n != t2.n:
-        raise SizeMismatchError(f"tableaux have {t1.n} and {t2.n} entries")
-    both = minor_multiset(t1, 1).counter() & minor_multiset(t2, 1).counter()
-    return sum(both.values())
 
 
 def proposition_pair(n: int) -> tuple[StandardTableau, StandardTableau]:
@@ -419,11 +402,6 @@ def differential_check(n: int) -> DifferentialReport:
         multiset_ambiguous=multiset_classes,
         violations=tuple(violations),
     )
-
-
-def with_exact(report: HBoundReport, force: bool = False) -> HBoundReport:
-    """Attach the exact bound value to a witness report."""
-    return replace(report, exact_H1=compute_H1_exact(report.n, force=force))
 
 
 def suite_shape_recovery(max_n: int) -> list[str]:

@@ -2,13 +2,14 @@
 reconstruction, and the exhaustive verification suites."""
 
 import argparse
+import dataclasses
 import sys
 
 from .census import (
     VERIFY_SUITES,
     census,
+    compute_H1_exact,
     verify_proposition,
-    with_exact,
 )
 from .core import (
     StandardTableau,
@@ -195,7 +196,8 @@ def _cmd_hbound(args) -> int:
     collisions = None
     if args.exact:
         if args.n >= 5:
-            report = with_exact(report, force=args.force)
+            exact = compute_H1_exact(args.n, force=args.force)
+            report = dataclasses.replace(report, exact_H1=exact)
         else:
             collisions = census(args.n, 1, "multiset")
     print(report.to_text())

@@ -30,14 +30,6 @@ class OrderError(TableauError):
     """A row or column is not strictly increasing."""
 
 
-class EmptyShapeError(TableauError):
-    """Operation requires a nonempty shape."""
-
-
-class EmptyInputError(TableauError):
-    """Operation requires a nonempty collection."""
-
-
 Partition = tuple[int, ...]
 Cell = tuple[int, int]
 
@@ -61,45 +53,10 @@ def check_partition(parts: Iterable[int]) -> Partition:
     return shape
 
 
-def conjugate(shape: Iterable[int]) -> Partition:
-    """Transpose of a partition: column lengths of its diagram."""
-    shape = check_partition(shape)
-    if not shape:
-        return ()
-    return tuple(sum(1 for p in shape if p > j) for j in range(shape[0]))
-
-
 def is_rectangular(shape: Iterable[int]) -> bool:
     """True iff all parts are equal (vacuously true for the empty shape)."""
     shape = check_partition(shape)
     return all(p == shape[0] for p in shape)
-
-
-def outer_corners(shape: Iterable[int]) -> tuple[Cell, ...]:
-    """Cells of ``shape`` with no cell to the right or below, in row order.
-
-    These are exactly the cells whose removal leaves a Young diagram.
-    """
-    shape = check_partition(shape)
-    if not shape:
-        raise EmptyShapeError("the empty shape has no outer corners")
-    corners = []
-    for i, p in enumerate(shape):
-        below = shape[i + 1] if i + 1 < len(shape) else 0
-        if below < p:
-            corners.append((i + 1, p))
-    return tuple(corners)
-
-
-def shape_union(shapes: Iterable[Iterable[int]]) -> Partition:
-    """Cellwise union of partitions: part i is the max of the inputs' part i."""
-    checked = [check_partition(s) for s in shapes]
-    if not checked:
-        raise EmptyInputError("shape_union of no shapes")
-    width = max(len(s) for s in checked)
-    return tuple(
-        max(s[i] if i < len(s) else 0 for s in checked) for i in range(width)
-    )
 
 
 class StandardTableau:
@@ -130,10 +87,15 @@ class StandardTableau:
         for i, row in enumerate(self.rows):
             if any(a >= b for a, b in zip(row, row[1:])):
                 raise OrderError(f"row {i + 1} is not strictly increasing")
-        for j in range(self.shape[0] if self.shape else 0):
-            col = [row[j] for row in self.rows if len(row) > j]
-            if any(a >= b for a, b in zip(col, col[1:])):
-                raise OrderError(f"column {j + 1} is not strictly increasing")
+        # rows shrink downward, so zip pairs each cell with the one below it
+        bad = [
+            j
+            for upper, lower in zip(self.rows, self.rows[1:])
+            for j, (a, b) in enumerate(zip(upper, lower))
+            if a >= b
+        ]
+        if bad:
+            raise OrderError(f"column {min(bad) + 1} is not strictly increasing")
         self._hash = hash(self.rows)
 
     @classmethod

@@ -5,8 +5,8 @@ largest entry n, and the deck of the size-(n-1) tableau obtained by
 deleting n.  One pass per level repeats this on the reduced deck until
 a shape is decided directly: single rows and columns, two-row (or
 two-column) shapes whose second line has one cell, and the shapes (3,2)
-and (2,2,1), which are matched against a frozen table of their five
-possible decks; then each level's n goes back in at its located cell.
+and (2,2,1), whose five possible decks are derived from their tableaux;
+then each level's n goes back in at its located cell.
 A level is a map from each member's packed row word (as in
 taquin._add) to its shape, so reducing it is a mask and one shorter
 row, and the base case is decided on the base level's words; no level
@@ -16,6 +16,7 @@ The pipeline is complete for n >= 5; for n <= 4 exhaustive search gives
 a total answer (Unique, Ambiguous with all candidates, or Invalid).
 """
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -25,6 +26,7 @@ from .core import (
     Partition,
     StandardTableau,
     TableauError,
+    enumerate_syt,
     enumerate_syt_all,
     is_rectangular,
 )
@@ -227,31 +229,16 @@ def reduce_deck(deck: Deck) -> Deck:
     return Deck(members, 1, top)
 
 
-_BASE_32_TEXT = {
-    "1 2 3 / 4 5": ("1 2 / 3 4", "1 2 3 / 4"),
-    "1 2 4 / 3 5": ("1 3 / 2 4", "1 2 3 / 4", "1 2 / 3 4", "1 2 4 / 3"),
-    "1 3 4 / 2 5": ("1 2 3 / 4", "1 3 / 2 4", "1 3 4 / 2"),
-    "1 2 5 / 3 4": ("1 3 4 / 2", "1 2 4 / 3", "1 2 / 3 4"),
-    "1 3 5 / 2 4": ("1 2 4 / 3", "1 3 4 / 2", "1 3 / 2 4"),
-}
-
-
 def _row_tuple(word: int, n: int, width: int) -> tuple[int, ...]:
     """The 0-based row of each entry 1..n of a packed row word."""
     mask = (1 << width) - 1
     return tuple(word >> width * i & mask for i in range(n))
 
 
-# the five (3,2) decks and, transposed, the five (2,2,1) decks, keyed by the
-# set of the members' row tuples
-_BASE_TABLE = {
-    frozenset(_row_tuple(_word_of(flip(m), 2), 4, 2) for m in members): flip(t)
-    for t, members in (
-        (StandardTableau.from_text(text), list(map(StandardTableau.from_text, ms)))
-        for text, ms in _BASE_32_TEXT.items()
-    )
-    for flip in (lambda t: t, StandardTableau.transpose)
-}
+@functools.cache
+def _base_table(shape: Partition, width: int) -> dict:
+    """Each tableau of ``shape``, keyed by the set of its 1-minors' words."""
+    return {frozenset(_minor_words(t, width)): t for t in enumerate_syt(shape)}
 
 
 def reconstruct_base(deck: Deck, shape: Partition) -> StandardTableau:
@@ -261,8 +248,8 @@ def reconstruct_base(deck: Deck, shape: Partition) -> StandardTableau:
     (n-1,1) and its transpose for n >= 4 (the cell off the long line
     holds n if the largest entry is located there, else the largest
     value any member shows in that cell), and (3,2) with its transpose
-    (looked up in the table of the five possible decks).  ``shape`` must
-    be the deck's shape, as reconstruct_shape gives it.
+    (matched against the five decks derived from the shape's tableaux).
+    ``shape`` must be the deck's shape, as reconstruct_shape gives it.
     """
     if deck.k != 1:
         raise NotADeckError(f"expected a deck of 1-minors, got k={deck.k}")
@@ -303,9 +290,8 @@ def _base(n: int, shape: Partition, level: dict, width: int):
             return StandardTableau._make([[1, entry]] + [[v] for v in rest])
         return StandardTableau._make([[1] + rest, [entry]])
     if shape == (3, 2) or shape == (2, 2, 1):
-        key = frozenset(_row_tuple(w, n - 1, width) for w in level)
-        found = _BASE_TABLE.get(key)
-        if found is None or found.shape != shape:
+        found = _base_table(shape, width).get(frozenset(level))
+        if found is None or found.n != n:
             raise NoMatchError("deck matches none of the five shape-(3,2) decks")
         return found
     return None

@@ -216,10 +216,6 @@ class Deck:
     def __repr__(self) -> str:
         return f"Deck(k={self.k}, n={self.n}, size={len(self.members)})"
 
-    def transpose(self) -> "Deck":
-        """Deck with every member transposed."""
-        return Deck((m.transpose() for m in self.members), self.k, self.n)
-
     def to_text(self) -> str:
         """Header line plus one member per line, canonical order."""
         lines = [f"deck k={self.k} n={self.n} size={len(self.members)}"]

@@ -7,6 +7,7 @@ every other multiset); it validates the max-intersection shortcut the
 library uses.
 """
 
+import dataclasses
 import importlib
 import inspect
 import json
@@ -15,26 +16,24 @@ from itertools import combinations
 
 import pytest
 
-from tabrec.census import CENSUS_CAP, MAX_HBOUND_N, _decode, _deck_walk
+from tabrec.census import CENSUS_CAP, MAX_HBOUND_N, _WIDTH, _deck_walk
 from tabrec.census import _ROOT, _children, _shards
 from tabrec.census import (
     CensusReport,
     ResourceLimitError,
-    SizeMismatchError,
     VERIFY_SUITES,
     VerificationError,
     census,
-    common_minor_count,
     compute_H1_exact,
     differential_check,
     involution_count,
     proposition_pair,
     verify_proposition,
-    with_exact,
 )
 from tabrec.core import StandardTableau, enumerate_syt_all
 from tabrec.reconstruct import TooSmallError
 from tabrec.taquin import (
+    _tableau_of,
     Deck,
     DeckMultiset,
     OutOfRangeError,
@@ -162,16 +161,6 @@ def test_census_argument_validation():
         census(3, 1, "bag")
 
 
-def test_common_minor_count_published_values():
-    assert common_minor_count(text("1 2 / 3 4"), text("1 3 / 2 4")) == 4
-    t = text("1 2 4 / 3 5")
-    assert common_minor_count(t, t) == 5
-    t1, t2 = proposition_pair(6)
-    assert common_minor_count(t1, t2) >= 4
-    with pytest.raises(SizeMismatchError):
-        common_minor_count(text("1 2"), text("1 2 3"))
-
-
 def test_proposition_pair_published_instances():
     assert proposition_pair(6) == (
         text("1 2 3 5 6 / 4"),
@@ -220,7 +209,7 @@ def test_verify_proposition_named_repeated_minor():
 def test_hbound_report_text():
     report = verify_proposition(6)
     assert report.to_text() == "hbound n=6 common=4 claimed=4 exact=none"
-    exact = with_exact(report)
+    exact = dataclasses.replace(report, exact_H1=compute_H1_exact(6))
     assert exact.to_text() == "hbound n=6 common=4 claimed=4 exact=5"
 
 
@@ -432,9 +421,9 @@ def test_deck_walk_matches_slide_decks():
     for n in range(1, 10):
         walked = []
         for word, minors in _deck_walk(n):
-            t = _decode(word, n)
+            t = _tableau_of(word, n, _WIDTH)
             walked.append(t)
-            cards = [_decode(minor, n - 1) for minor in minors]
+            cards = [_tableau_of(minor, n - 1, _WIDTH) for minor in minors]
             assert cards == [delete_entry(t, m) for m in range(1, n + 1)]
             assert DeckMultiset(Counter(cards).items(), 1, n) == (
                 minor_multiset(t, 1)
@@ -453,9 +442,8 @@ def test_shards_partition_the_tree():
             word for node in shards for word, _ in _deck_walk(n, node)
         ]
         assert len(walked) == len(set(walked)) == involution_count(n), n
-        assert sorted(_decode(word, n) for word in walked) == sorted(
-            enumerate_syt_all(n)
-        ), n
+        decoded = sorted(_tableau_of(word, n, _WIDTH) for word in walked)
+        assert decoded == sorted(enumerate_syt_all(n)), n
 
 
 def test_cap_fits_the_row_packing():
@@ -468,9 +456,9 @@ def test_cap_fits_the_row_packing():
     for _ in range(largest - 1):
         *_, node = _children(node)
     [_, (word, minors)] = _deck_walk(largest, node)
-    assert _decode(word, largest) == column
+    assert _tableau_of(word, largest, _WIDTH) == column
     shorter = StandardTableau([[v] for v in range(1, largest)])
-    cards = [_decode(minor, largest - 1) for minor in minors]
+    cards = [_tableau_of(minor, largest - 1, _WIDTH) for minor in minors]
     assert cards == [shorter] * largest
 
 

@@ -12,21 +12,16 @@ from math import factorial
 import pytest
 
 from tabrec.core import (
-    EmptyInputError,
-    EmptyShapeError,
     EntryError,
     OrderError,
     ShapeError,
     StandardTableau,
     TableauError,
     check_partition,
-    conjugate,
     enumerate_partitions,
     enumerate_syt,
     enumerate_syt_all,
     is_rectangular,
-    outer_corners,
-    shape_union,
 )
 
 
@@ -39,9 +34,19 @@ def partition_count(n):
     return ways[n]
 
 
+def column_lengths(shape):
+    """The conjugate partition: how many parts exceed each j = 0, 1, ..."""
+    return tuple(sum(p > j for p in shape) for j in range(max(shape, default=0)))
+
+
+def corners(shape):
+    """Cells with no cell to the right or below, in row order."""
+    return [(r, p) for r, p in enumerate(shape, 1) if shape[r:r + 1] < (p,)]
+
+
 def hook_length_count(shape):
     """Tableaux of one shape, by the product formula over cell hooks."""
-    cols = conjugate(shape)
+    cols = column_lengths(shape)
     hooks = 1
     for i, row_len in enumerate(shape):
         for j in range(row_len):
@@ -72,19 +77,6 @@ def test_check_partition_rejects_invalid():
         check_partition([-1])
 
 
-def test_conjugate_known_values():
-    assert conjugate((4, 3, 1, 1)) == (4, 2, 2, 1)
-    assert conjugate((3, 2)) == (2, 2, 1)
-    assert conjugate((5,)) == (1, 1, 1, 1, 1)
-    assert conjugate(()) == ()
-
-
-def test_conjugate_is_an_involution():
-    for n in range(9):
-        for shape in enumerate_partitions(n):
-            assert conjugate(conjugate(shape)) == shape
-
-
 def test_is_rectangular():
     assert is_rectangular((3, 3))
     assert is_rectangular((4,))
@@ -93,52 +85,15 @@ def test_is_rectangular():
     assert not is_rectangular((3, 2))
 
 
-def test_outer_corners_known_values():
-    assert outer_corners((4, 3, 1, 1)) == ((1, 4), (2, 3), (4, 1))
-    assert outer_corners((3, 3)) == ((2, 3),)
-    assert outer_corners((3, 2)) == ((1, 3), (2, 2))
-    assert outer_corners((1,)) == ((1, 1),)
-
-
-def test_outer_corners_empty_shape():
-    with pytest.raises(EmptyShapeError):
-        outer_corners(())
-
-
 def test_corner_count_one_iff_rectangular():
     for n in range(1, 9):
         for shape in enumerate_partitions(n):
-            corners = outer_corners(shape)
-            assert (len(corners) == 1) == is_rectangular(shape)
+            cells = corners(shape)
+            assert (len(cells) == 1) == is_rectangular(shape)
             # a corner has no cell to its right or below
-            for r, c in corners:
+            for r, c in cells:
                 assert shape[r - 1] == c
                 assert r == len(shape) or shape[r] < c
-
-
-def test_shape_union_known_values():
-    assert shape_union([(2, 2), (3, 1)]) == (3, 2)
-    assert shape_union([(4, 1)]) == (4, 1)
-    assert shape_union([(3, 1, 1), (2, 2, 1)]) == (3, 2, 1)
-
-
-def test_shape_union_empty_input():
-    with pytest.raises(EmptyInputError):
-        shape_union([])
-
-
-def test_shape_union_algebra():
-    shapes = list(enumerate_partitions(6))
-    for a in shapes:
-        assert shape_union([a]) == a
-        for b in shapes:
-            ab = shape_union([a, b])
-            assert ab == shape_union([b, a])
-            assert shape_union([ab, b]) == ab
-            for c in shapes[:4]:
-                assert shape_union([ab, c]) == shape_union(
-                    [a, shape_union([b, c])]
-                )
 
 
 def test_validate_accepts_worked_example():
@@ -163,6 +118,13 @@ def test_validate_rejects_unordered_rows_and_columns():
         StandardTableau([[2, 1]])
     with pytest.raises(OrderError, match="column 2"):
         StandardTableau([[1, 4], [2, 3]])
+
+
+def test_validate_names_the_first_bad_column():
+    # the row pairs meet column 2 (5 over 4) before column 1 (3 over 1)
+    with pytest.raises(OrderError) as caught:
+        StandardTableau([[2, 5], [3, 4], [1]])
+    assert str(caught.value) == "column 1 is not strictly increasing"
 
 
 def test_validate_rejects_wrong_entry_range():
@@ -195,7 +157,7 @@ def test_transpose_known_and_involutive():
     for n in range(8):
         for u in enumerate_syt_all(n):
             v = u.transpose()
-            assert v.shape == conjugate(u.shape)
+            assert v.shape == column_lengths(u.shape)
             assert v.transpose() == u
 
 
@@ -342,6 +304,6 @@ def test_non_integer_parts_are_rejected():
     with pytest.raises(ShapeError):
         check_partition([2.9, 1.5])
     with pytest.raises(ShapeError):
-        conjugate([True, True])
+        is_rectangular([True, True])
     with pytest.raises(ShapeError):
         list(enumerate_syt((2.5, 1)))

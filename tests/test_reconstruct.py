@@ -13,7 +13,6 @@ import pytest
 from tabrec.core import StandardTableau, enumerate_syt, enumerate_syt_all
 from tabrec.core import TableauError
 from tabrec.reconstruct import (
-    _BASE_32_TEXT,
     _locate,
     Ambiguous,
     Invalid,
@@ -147,6 +146,9 @@ def test_base_errors():
         reconstruct_base(minor_set(text("1 2 3 / 4 / 5"), 1), (3, 1, 1))
     with pytest.raises(NoMatchError):
         reconstruct_base(deck_of("1 2 / 3 4", n=5), (3, 2))
+    # packed row words of size-6 members that spell the deck of 1 2 3 / 4 5
+    with pytest.raises(NoMatchError):
+        reconstruct_base(deck_of("1 2 5 / 3 4", "1 2 3 5 / 4"), (3, 2))
     with pytest.raises(NoMatchError):
         reconstruct_base(deck_of("1 2 3 4", n=5), (4, 1))
     with pytest.raises(NotADeckError):
@@ -301,14 +303,27 @@ def test_unchecked_tableaux_pass_validation():
                 assert hash(checked) == hash(x)
 
 
-REFERENCE_TABLE_32 = {
-    frozenset(members): text(t) for t, members in _BASE_32_TEXT.items()
+# Lemma 3.6's five (3,2) tableaux and their decks, frozen as text
+BASE_32_TEXT = {
+    "1 2 3 / 4 5": ("1 2 / 3 4", "1 2 3 / 4"),
+    "1 2 4 / 3 5": ("1 3 / 2 4", "1 2 3 / 4", "1 2 / 3 4", "1 2 4 / 3"),
+    "1 3 4 / 2 5": ("1 2 3 / 4", "1 3 / 2 4", "1 3 4 / 2"),
+    "1 2 5 / 3 4": ("1 3 4 / 2", "1 2 4 / 3", "1 2 / 3 4"),
+    "1 3 5 / 2 4": ("1 2 4 / 3", "1 3 4 / 2", "1 3 / 2 4"),
 }
+REFERENCE_TABLE_32 = {
+    frozenset(members): text(t) for t, members in BASE_32_TEXT.items()
+}
+
+
+def transpose(deck):
+    """The deck with every member transposed."""
+    return Deck((m.transpose() for m in deck.members), deck.k, deck.n)
 
 
 def reference_base(deck, shape, line="row"):
     """Lemma 3.6 on a sorted Deck: the hook reads each member's (2, 1)
-    entry, transposes go through Deck.transpose, and (3,2) looks up the
+    entry, transposes go through each member, and (3,2) looks up the
     members' text.  ``line`` names the hook's second line in the error,
     "column" when the deck came in transposed."""
     n = deck.n
@@ -336,7 +351,7 @@ def reference_base(deck, shape, line="row"):
             [[v for v in range(1, n + 1) if v != second], [second]]
         )
     if n >= 4 and shape == (2,) + (1,) * (n - 2):
-        return reference_base(deck.transpose(), (n - 1, 1), "column").transpose()
+        return reference_base(transpose(deck), (n - 1, 1), "column").transpose()
     if shape == (3, 2):
         key = frozenset(member.to_text() for member in deck.members)
         try:
@@ -346,7 +361,7 @@ def reference_base(deck, shape, line="row"):
                 "deck matches none of the five shape-(3,2) decks"
             ) from None
     if shape == (2, 2, 1):
-        return reference_base(deck.transpose(), (3, 2)).transpose()
+        return reference_base(transpose(deck), (3, 2)).transpose()
     raise UnsupportedShapeError(f"{shape} is not a base shape")
 
 

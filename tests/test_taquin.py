@@ -11,12 +11,7 @@ import importlib
 import pytest
 
 import tabrec
-from tabrec.core import (
-    StandardTableau,
-    conjugate,
-    enumerate_syt_all,
-    outer_corners,
-)
+from tabrec.core import StandardTableau, enumerate_syt_all
 from tabrec.taquin import (
     Deck,
     DeckMultiset,
@@ -32,6 +27,11 @@ from tabrec.taquin import (
 
 def text(s):
     return StandardTableau.from_text(s)
+
+
+def outer_corners(shape):
+    """Cells with no cell to the right or below."""
+    return {(r, p) for r, p in enumerate(shape, 1) if shape[r:r + 1] < (p,)}
 
 
 def test_delete_hand_traced():
@@ -67,7 +67,7 @@ def test_slide_path_hand_traced():
 def test_delete_validity_and_corner_bookkeeping():
     for n in range(1, 9):
         for t in enumerate_syt_all(n):
-            corners = set(outer_corners(t.shape))
+            corners = outer_corners(t.shape)
             for m in range(1, n + 1):
                 path = slide_path(t, m)
                 assert path[0] == t.cell_of(m)
@@ -111,7 +111,9 @@ def test_transpose_commutes_with_deletion():
             flipped = t.transpose()
             for m in range(1, n + 1):
                 assert delete_entry(flipped, m) == delete_entry(t, m).transpose()
-            assert minor_set(flipped, 1) == minor_set(t, 1).transpose()
+            assert set(minor_set(flipped, 1)) == {
+                m.transpose() for m in minor_set(t, 1)
+            }
 
 
 def test_minor_set_published_decks():
