@@ -64,6 +64,13 @@ class VerificationError(TableauError):
     """A verified property failed to hold."""
 
 
+def _class_lines(label: str, classes):
+    """``<label> size=<k>`` and its members' text, for each class."""
+    for cls in classes:
+        yield f"{label} size={len(cls)}"
+        yield from (t.to_text() for t in cls)
+
+
 @dataclass(frozen=True)
 class CensusReport:
     """Collision classes of the deck census over all size-n tableaux.
@@ -81,14 +88,11 @@ class CensusReport:
     elapsed: float
 
     def to_text(self) -> str:
-        lines = [
+        header = (
             f"census n={self.n} k={self.k} mode={self.mode} "
             f"classes={len(self.classes)}"
-        ]
-        for cls in self.classes:
-            lines.append(f"class size={len(cls)}")
-            lines.extend(t.to_text() for t in cls)
-        return "\n".join(lines)
+        )
+        return "\n".join([header, *_class_lines("class", self.classes)])
 
     def to_json(self) -> str:
         classes = [[t.to_text() for t in cls] for cls in self.classes]
@@ -133,13 +137,8 @@ class DifferentialReport:
             f"multiset-ambiguous={len(self.multiset_ambiguous)} "
             f"violations={len(self.violations)}"
         ]
-        for label, groups in (
-            ("set", self.set_ambiguous),
-            ("multiset", self.multiset_ambiguous),
-        ):
-            for cls in groups:
-                lines.append(f"{label}-class size={len(cls)}")
-                lines.extend(t.to_text() for t in cls)
+        lines.extend(_class_lines("set-class", self.set_ambiguous))
+        lines.extend(_class_lines("multiset-class", self.multiset_ambiguous))
         lines.extend(f"violation {v}" for v in self.violations)
         return "\n".join(lines)
 
@@ -322,7 +321,7 @@ def verify_proposition(n: int) -> HBoundReport:
     )
 
 
-def compute_H1_exact(n: int, force: bool = False) -> int:
+def compute_H1_exact(n: int) -> int:
     """Smallest m such that any m cards of a 1-minor multiset determine T.
 
     A size-m submultiset of one multiset fits inside another exactly
@@ -331,18 +330,13 @@ def compute_H1_exact(n: int, force: bool = False) -> int:
     The multisets come from the deck walk.  As min(a, b) counts the copies
     c < a with c < b, copy c of a minor is a key of its own; an index from
     each key to the earlier tableaux holding it lets Counter count, in C,
-    the keys each tableau shares with each earlier one.
-    n > 11 requires ``force``; n past the census cap is refused either way.
+    the keys each tableau shares with each earlier one.  n past the
+    census cap is refused.
     """
     if n < 5:
         raise TooSmallError(
             f"the bound is defined only where reconstruction holds (n >= 5), "
             f"got {n}"
-        )
-    if n > 11 and not force:
-        raise ResourceLimitError(
-            f"{involution_count(n)} tableaux make too many pairs at n={n}; "
-            f"pass force=True (--force on the command line) to override"
         )
     _check_cap(n)
     shift = n.bit_length()  # copy numbers 0..n-1 fit below the minor word

@@ -7,6 +7,7 @@ import sys
 
 from .census import (
     VERIFY_SUITES,
+    _class_lines,
     census,
     compute_H1_exact,
     verify_proposition,
@@ -122,11 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also compute the exact bound (n >= 5); below that, list the "
         "colliding multiset decks",
     )
-    p.add_argument(
-        "--force",
-        action="store_true",
-        help="lift the size guard on the exact computation",
-    )
 
     p = sub.add_parser("verify", help="run one exhaustive property suite")
     p.add_argument(
@@ -193,19 +189,12 @@ def _cmd_census(args) -> int:
 
 def _cmd_hbound(args) -> int:
     report = verify_proposition(args.n)
-    collisions = None
-    if args.exact:
-        if args.n >= 5:
-            exact = compute_H1_exact(args.n, force=args.force)
-            report = dataclasses.replace(report, exact_H1=exact)
-        else:
-            collisions = census(args.n, 1, "multiset")
-    print(report.to_text())
-    if collisions is not None:
-        for cls in collisions.classes:
-            print(f"class size={len(cls)}")
-            for t in cls:
-                print(t.to_text())
+    classes = ()
+    if args.exact and args.n >= 5:
+        report = dataclasses.replace(report, exact_H1=compute_H1_exact(args.n))
+    elif args.exact:
+        classes = census(args.n, 1, "multiset").classes
+    print("\n".join([report.to_text(), *_class_lines("class", classes)]))
     return 0
 
 

@@ -112,11 +112,6 @@ class StandardTableau:
         """Number of entries."""
         return sum(self.shape)
 
-    def entry_at(self, cell: Cell) -> int:
-        """Entry in the 1-based (row, col) cell."""
-        r, c = cell
-        return self.rows[r - 1][c - 1]
-
     def cell_of(self, value: int) -> Cell:
         """1-based (row, col) cell holding ``value``."""
         for i, row in enumerate(self.rows):
@@ -161,24 +156,6 @@ class StandardTableau:
                 raise EntryError(f"non-integer entry in {chunk!r}") from exc
         return cls(rows)
 
-    def to_record(self) -> dict:
-        """JSON-ready record with ``shape`` and ``rows`` fields."""
-        return {"shape": list(self.shape), "rows": [list(r) for r in self.rows]}
-
-    @classmethod
-    def from_record(cls, record: dict) -> "StandardTableau":
-        """Inverse of to_record; the shape field must match the rows."""
-        try:
-            tableau, shape = cls(record["rows"]), tuple(record["shape"])
-        except (KeyError, TypeError) as exc:
-            raise TableauError(f"malformed tableau record: {exc!r}") from None
-        if shape != tableau.shape:
-            raise ShapeError(
-                f"record shape {record['shape']} does not match rows "
-                f"{list(tableau.shape)}"
-            )
-        return tableau
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, StandardTableau):
             return NotImplemented
@@ -189,9 +166,6 @@ class StandardTableau:
 
     def __lt__(self, other: "StandardTableau") -> bool:
         return self.sort_key() < other.sort_key()
-
-    def __le__(self, other: "StandardTableau") -> bool:
-        return self.sort_key() <= other.sort_key()
 
     def __repr__(self) -> str:
         return f"StandardTableau({self.to_text()!r})"

@@ -10,8 +10,10 @@ then each level's n goes back in at its located cell.
 A level is a map from each member's packed row word (as in
 taquin._add) to its shape, so reducing it is a mask and one shorter
 row, and the base case is decided on the base level's words; no level
-is decoded into tableaux.  The candidate is re-checked by comparing its
-1-minors' words, from the slide-free recurrence, with the input's.
+is decoded into tableaux.  The public Lemma 3.2 and 3.3 functions pack
+their deck into a level and run the loop's own core, _reduce.  The
+candidate is re-checked by comparing its 1-minors' words, from the
+slide-free recurrence, with the input's.
 The pipeline is complete for n >= 5; for n <= 4 exhaustive search gives
 a total answer (Unique, Ambiguous with all candidates, or Invalid).
 """
@@ -35,6 +37,7 @@ from .taquin import (
     DeckMultiset,
     NotADeckError,
     _minor_words,
+    _tableau_of,
     _word_of,
     minor_multiset,
     minor_set,
@@ -156,14 +159,11 @@ def locate_max(deck: Deck) -> Cell:
     once n >= 4.
     """
     _check_one_minor_deck(deck)
-    shape = reconstruct_shape(deck) if deck.n >= 4 else ()
-    tops = [
-        (member.shape, (r, len(row)))
-        for member in deck.members
-        for r, row in enumerate(member.rows, 1)
-        if row[-1] == deck.n - 1
-    ]
-    return _locate(deck.n, shape, tops)
+    n, width = deck.n, deck.n.bit_length()
+    if n < 4:  # _locate raises TooSmallError, before _reduce needs a shift
+        return _locate(n, (), [])
+    shape = reconstruct_shape(deck)
+    return _locate(n, shape, _reduce(n, _level(deck, width), width)[0])
 
 
 def _locate(n: int, shape: Partition, tops) -> Cell:
@@ -217,16 +217,33 @@ def reduce_deck(deck: Deck) -> Deck:
     n = deck.n
     if n < 2:
         raise NotADeckError(f"no deck to reduce at n={n}")
-    top = n - 1
-    members = [
-        StandardTableau._make(
-            row[:-1] if row[-1] == top else row
-            for row in member.rows
-            if row != (top,)
+    width = n.bit_length()
+    reduced = _reduce(n, _level(deck, width), width)[1]
+    return Deck((_tableau_of(w, n - 2, width) for w in reduced), 1, n - 1)
+
+
+def _level(deck: Deck, width: int) -> dict:
+    """Each member's packed row word, ``width`` bits per entry, mapped to
+    its shape."""
+    return {_word_of(m, width): m.shape for m in deck.members}
+
+
+def _reduce(n: int, level: dict, width: int):
+    """Lemmas 3.2 and 3.3 on a level of size-(n-1) members: (tops,
+    reduced).  tops lists each member's shape and the cell of its n-1,
+    which _locate reads; reduced is the level with n-1 deleted from every
+    member, a mask and one shorter row, as n-1 ends its row in a corner."""
+    shift = width * (n - 2)  # bits of each member's largest entry n-1
+    low = (1 << shift) - 1
+    tops, reduced = [], {}
+    for word, shape in level.items():
+        r = word >> shift
+        length = shape[r]
+        tops.append((shape, (r + 1, length)))
+        reduced[word & low] = (
+            shape[:r] + (length - 1,) + shape[r + 1:] if length > 1 else shape[:r]
         )
-        for member in deck.members
-    ]
-    return Deck(members, 1, top)
+    return tops, reduced
 
 
 def _row_tuple(word: int, n: int, width: int) -> tuple[int, ...]:
@@ -249,15 +266,17 @@ def reconstruct_base(deck: Deck, shape: Partition) -> StandardTableau:
     holds n if the largest entry is located there, else the largest
     value any member shows in that cell), and (3,2) with its transpose
     (matched against the five decks derived from the shape's tableaux).
-    ``shape`` must be the deck's shape, as reconstruct_shape gives it.
+    The result's deck must be ``deck``, so a ``shape`` that is not the
+    deck's raises NoMatchError.
     """
-    if deck.k != 1:
-        raise NotADeckError(f"expected a deck of 1-minors, got k={deck.k}")
+    _check_one_minor_deck(deck)
     width = deck.n.bit_length()  # fits every row index
-    level = {_word_of(m, width): m.shape for m in deck.members}
+    level = _level(deck, width)
     base = _base(deck.n, shape, level, width)
     if base is None:
         raise UnsupportedShapeError(f"{shape} is not a base shape")
+    if set(_minor_words(base, width)) != set(level):
+        raise NoMatchError(f"no tableau of shape {shape} has this deck")
     return base
 
 
@@ -281,9 +300,8 @@ def _base(n: int, shape: Partition, level: dict, width: int):
         if not seconds:
             line = "column" if flip else "row"
             raise NoMatchError(f"no member shows a second-{line} entry")
-        shift = width * (n - 2)  # bits of each member's largest entry n-1
-        tops = [(s, (r + 1, s[r])) for w, s in level.items() for r in [w >> shift]]
         lone = (1, 2) if flip else (2, 1)
+        tops = _reduce(n, level, width)[0]
         entry = n if _locate(n, shape, tops) == lone else max(seconds)
         rest = [v for v in range(2, n + 1) if v != entry]
         if flip:
@@ -315,22 +333,10 @@ def _reconstruct_inductive(deck: Deck | DeckMultiset) -> StandardTableau:
     # candidate, has more than one row beyond theirs: every 0-based row is
     # at most len(shape) < 2**width
     width = len(shape).bit_length()
-    words = {member: _word_of(member, width) for member in deck.members}
-    level = {word: member.shape for member, word in words.items()}
+    words = level = _level(deck, width)
     cells = []
     while (base := _base(n, shape, level, width)) is None:
-        shift = width * (n - 2)  # bits of each member's largest entry n-1
-        low = (1 << shift) - 1
-        tops, reduced = [], {}
-        for word, member_shape in level.items():
-            r = word >> shift
-            length = member_shape[r]
-            tops.append((member_shape, (r + 1, length)))
-            reduced[word & low] = (
-                member_shape[:r] + (length - 1,) + member_shape[r + 1:]
-                if length > 1
-                else member_shape[:r]
-            )
+        tops, reduced = _reduce(n, level, width)
         cells.append(_locate(n, shape, tops))
         level, n = reduced, n - 1
         shape = _shape(n, set(level.values()))
@@ -348,9 +354,10 @@ def _reconstruct_inductive(deck: Deck | DeckMultiset) -> StandardTableau:
             )
     candidate = StandardTableau._make(rows)
     minors = _minor_words(candidate, width)
-    if set(minors) != set(words.values()):
+    if set(minors) != set(words):
         raise NotADeckError("reconstructed candidate has a different deck")
-    if cards and Counter(minors) != Counter({words[m]: k for m, k in cards}):
+    multiplicities = {_word_of(m, width): k for m, k in cards}
+    if cards and Counter(minors) != Counter(multiplicities):
         raise NotADeckError("reconstructed candidate has a different multiset")
     return candidate
 

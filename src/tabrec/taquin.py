@@ -210,9 +210,6 @@ class Deck:
     def __iter__(self):
         return iter(self.members)
 
-    def __contains__(self, tableau) -> bool:
-        return tableau in self.members
-
     def __repr__(self) -> str:
         return f"Deck(k={self.k}, n={self.n}, size={len(self.members)})"
 

@@ -224,8 +224,6 @@ def test_h1_bounds_and_guards():
         assert n // 2 + 2 <= value <= n
     with pytest.raises(TooSmallError):
         compute_H1_exact(4)
-    with pytest.raises(ResourceLimitError):
-        compute_H1_exact(12)
 
 
 def test_differential_small_sizes():
@@ -389,9 +387,8 @@ def test_walks_past_the_cap_fail_before_enumerating(monkeypatch):
             census(n, 1, "multiset")
         with pytest.raises(ResourceLimitError):
             differential_check(n)
-        # force lifts only the n > 11 guard, never the cap
         with pytest.raises(ResourceLimitError, match="1000000"):
-            compute_H1_exact(n, force=True)
+            compute_H1_exact(n)
 
 
 def test_common_bound_suite_cap(monkeypatch):

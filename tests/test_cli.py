@@ -197,13 +197,6 @@ def test_hbound_exact_below_five_lists_collisions(capsys):
     assert lines[1:] == ["class size=2", "1 2 / 3 4", "1 3 / 2 4"]
 
 
-def test_hbound_exact_guard_needs_force(capsys):
-    status, _, err = invoke(capsys, "hbound", "--n", "12", "--exact")
-    assert status == 1
-    assert err.startswith("error:")
-    assert "--force" in err
-
-
 def test_verify_runs_clean_suites(capsys):
     status, out, err = invoke(
         capsys, "verify", "--suite", "lemma3.6", "--max-n", "6"
@@ -339,7 +332,7 @@ def test_hbound_rejects_n_above_cap(capsys):
 def test_walks_past_the_cap_exit_with_error(capsys):
     for argv in (
         ["census", "--n", "14"],
-        ["hbound", "--n", "14", "--exact", "--force"],
+        ["hbound", "--n", "14", "--exact"],
         ["verify", "--suite", "lemma3.1", "--max-n", "20"],
         ["verify", "--suite", "lemma3.2", "--max-n", "14"],
         ["verify", "--suite", "lemma3.3", "--max-n", "14"],

@@ -6,7 +6,6 @@ product formula for tableaux of one shape, and the involution-number
 recurrence for all tableaux of one size.
 """
 
-import json
 from math import factorial
 
 import pytest
@@ -145,7 +144,7 @@ def test_empty_tableau_round_trip():
 
 def test_entry_and_cell_lookup():
     t = StandardTableau.from_text("1 2 7 8 / 3 5 9 / 4 / 6")
-    assert t.entry_at((2, 3)) == 9
+    assert t.rows[2 - 1][3 - 1] == 9
     assert t.cell_of(6) == (4, 1)
     with pytest.raises(EntryError):
         t.cell_of(10)
@@ -188,18 +187,6 @@ def test_from_text_rejects_junk():
         StandardTableau.from_text("2 1")
     with pytest.raises(EntryError):
         StandardTableau.from_text("1 1")
-
-
-def test_record_round_trip():
-    t = StandardTableau.from_text("1 2 7 8 / 3 5 9 / 4 / 6")
-    record = t.to_record()
-    assert record == {
-        "shape": [4, 3, 1, 1],
-        "rows": [[1, 2, 7, 8], [3, 5, 9], [4], [6]],
-    }
-    assert StandardTableau.from_record(json.loads(json.dumps(record))) == t
-    with pytest.raises(ShapeError):
-        StandardTableau.from_record({"shape": [4, 3, 2], "rows": record["rows"]})
 
 
 def test_enumerate_partitions_known_values():
@@ -281,23 +268,7 @@ def test_validate_rejects_non_integer_entries():
     for rows in ([[1.9, 2.2]], [[True]], [[1, 2.0]], [["1"]]):
         with pytest.raises(EntryError, match="must be integers"):
             StandardTableau(rows)
-    with pytest.raises(EntryError, match="must be integers"):
-        StandardTableau.from_record({"rows": [[1.5, 2]], "shape": [2]})
     assert StandardTableau([[1, 2], [3]]).to_text() == "1 2 / 3"
-
-
-def test_from_record_rejects_malformed_records():
-    for record in (
-        {"rows": [[1, 2]]},
-        {"shape": [2]},
-        [[1, 2]],
-        "1 2",
-        {"rows": 5, "shape": [1]},
-        {"rows": [5], "shape": [1]},
-        {"rows": [[1, 2]], "shape": 2},
-    ):
-        with pytest.raises(TableauError):
-            StandardTableau.from_record(record)
 
 
 def test_non_integer_parts_are_rejected():

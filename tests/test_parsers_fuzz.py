@@ -1,8 +1,8 @@
-"""Property tests for the four text and record parsers, driven by hypothesis.
+"""Property tests for the three text parsers, driven by hypothesis.
 
 Every input either parses or raises ``TableauError``, never another
-exception, and whatever parses prints back to a text (or record) that
-parses to the same value and prints again byte for byte the same.
+exception, and whatever parses prints back to a text that parses to
+the same value and prints again byte for byte the same.
 
 Inputs mix arbitrary text with text in the parsers' own alphabet and
 with canonical forms of real tableaux and decks edited in a few places,
@@ -10,8 +10,6 @@ so that most inputs get past the first check.  Runs are derandomized
 with a fixed example count, so the suite is repeatable and fast; the
 module is skipped when hypothesis is not installed.
 """
-
-import json
 
 import pytest
 
@@ -109,56 +107,3 @@ def test_deck_multiset_from_text_parses_or_rejects(text):
     if parsed is not None:
         assert_text_fixed_point(DeckMultiset.from_text, parsed)
 
-
-SCALARS = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(-2, 12),
-    st.floats(allow_nan=False),
-    st.text(max_size=3),
-)
-VALUES = st.recursive(
-    SCALARS,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.sampled_from(["rows", "shape", "n"]), inner, max_size=3),
-    max_leaves=12,
-)
-
-
-@st.composite
-def perturbed_records(draw):
-    """A real tableau's record with one entry or shape part replaced."""
-    record = draw(st.sampled_from(TABLEAUX[1:])).to_record()
-    field = draw(st.sampled_from(["rows", "shape"]))
-    value = draw(st.one_of(SCALARS, VALUES))
-    if field == "shape":
-        record["shape"][draw(st.integers(0, len(record["shape"]) - 1))] = value
-    else:
-        row = record["rows"][draw(st.integers(0, len(record["rows"]) - 1))]
-        row[draw(st.integers(0, len(row) - 1))] = value
-    return record
-
-
-RECORDS = st.one_of(
-    VALUES,
-    st.fixed_dictionaries({"rows": VALUES, "shape": VALUES}),
-    st.fixed_dictionaries(
-        {
-            "rows": st.lists(st.lists(st.integers(1, 8), max_size=4), max_size=3),
-            "shape": st.lists(st.integers(0, 4), max_size=3),
-        }
-    ),
-    st.sampled_from(TABLEAUX).map(StandardTableau.to_record),
-    perturbed_records(),
-)
-
-
-@FUZZ
-@given(RECORDS)
-def test_tableau_from_record_parses_or_rejects(record):
-    parsed = parse_or_reject(StandardTableau.from_record, record)
-    if parsed is not None:
-        printed = json.dumps(parsed.to_record())
-        again = StandardTableau.from_record(json.loads(printed))
-        assert again == parsed
-        assert json.dumps(again.to_record()) == printed

@@ -13,6 +13,7 @@ import pytest
 from tabrec.core import StandardTableau, enumerate_syt, enumerate_syt_all
 from tabrec.core import TableauError
 from tabrec.reconstruct import (
+    _check_one_minor_deck,
     _locate,
     Ambiguous,
     Invalid,
@@ -97,6 +98,11 @@ def test_locate_exhaustive():
 def test_locate_too_small():
     with pytest.raises(TooSmallError):
         locate_max(deck_of("1 2", "1 / 2"))
+    # the decks of the rows at n = 1, 2 and 3; at n = 1 the shift of n - 1
+    # would be negative, so the size check must come first
+    for n in (1, 2, 3):
+        with pytest.raises(TooSmallError):
+            locate_max(minor_set(StandardTableau([range(1, n + 1)]), 1))
 
 
 def test_reduce_known_decks():
@@ -104,6 +110,8 @@ def test_reduce_known_decks():
         "1 2 / 3", "1 2 3"
     )
     assert reduce_deck(deck_of("1")) == Deck([StandardTableau(())], 1, 1)
+    with pytest.raises(NotADeckError):
+        reduce_deck(minor_set(text("1"), 1))
     big = minor_set(text("1 2 4 / 3 5"), 1)
     assert reduce_deck(big) == minor_set(text("1 2 4 / 3"), 1)
 
@@ -153,6 +161,14 @@ def test_base_errors():
         reconstruct_base(deck_of("1 2 3 4", n=5), (4, 1))
     with pytest.raises(NotADeckError):
         reconstruct_base(Deck([text("1 2")], 2, 4), (4,))
+
+
+def test_base_rejects_a_shape_that_is_not_the_decks():
+    deck = minor_set(text("1 3 5 / 2 4"), 1)
+    assert reconstruct_base(deck, (3, 2)) == text("1 3 5 / 2 4")
+    for shape in ((5,), (1,) * 5, (4, 1), (2, 1, 1, 1)):
+        with pytest.raises(NoMatchError):
+            reconstruct_base(deck, shape)
 
 
 def test_hook_errors_name_the_second_line():
@@ -334,7 +350,7 @@ def reference_base(deck, shape, line="row"):
     if n >= 4 and shape == (n - 1, 1):
         second = max(
             (
-                member.entry_at((2, 1))
+                member.rows[1][0]
                 for member in deck.members
                 if len(member.shape) == 2
             ),
@@ -383,6 +399,16 @@ def outcome_of(f, *args):
         return type(exc), str(exc)
 
 
+def checked_reference_base(deck, shape):
+    """reference_base behind reconstruct_base's input check, raising
+    NoMatchError for a tableau whose deck is not ``deck``."""
+    _check_one_minor_deck(deck)
+    t = reference_base(deck, shape)
+    if minor_set(t, 1) != deck:
+        raise NoMatchError(f"no tableau of shape {shape} has this deck")
+    return t
+
+
 def test_base_matches_deck_reference_on_perturbed_decks():
     checked = 0
     for n in range(1, 10):
@@ -399,7 +425,7 @@ def test_base_matches_deck_reference_on_perturbed_decks():
             # the genuine deck against every base shape and one other shape
             for shape in base_shapes(n) + [(n, 1)]:
                 assert outcome_of(reconstruct_base, deck, shape) == outcome_of(
-                    reference_base, deck, shape
+                    checked_reference_base, deck, shape
                 ), (t.to_text(), shape)
             variants = [
                 Deck(deck.members[:j] + deck.members[j + 1:], 1, n)
@@ -410,7 +436,7 @@ def test_base_matches_deck_reference_on_perturbed_decks():
             ]
             for d in variants:
                 got = outcome_of(reconstruct_base, d, t.shape)
-                assert got == outcome_of(reference_base, d, t.shape), (
+                assert got == outcome_of(checked_reference_base, d, t.shape), (
                     t.to_text(),
                     d.to_text(),
                 )
