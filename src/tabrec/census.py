@@ -469,32 +469,26 @@ def suite_round_trip(max_n: int) -> list[str]:
 
 def suite_small_sizes(max_n: int) -> list[str]:
     """Differential check at n = 1..min(4, max_n) matches the known
-    classification of the small ambiguous decks."""
+    classification of the small ambiguous decks, in both modes."""
+    # member texts of the (set classes, multiset classes) at each n
     expected_classes = {
-        1: (0, 0, None),
-        2: (1, 1, ("1 / 2", "1 2")),
-        3: (1, 0, ("1 2 / 3", "1 3 / 2")),
-        4: (1, 1, ("1 2 / 3 4", "1 3 / 2 4")),
+        1: ((), ()),
+        2: ((("1 / 2", "1 2"),), (("1 / 2", "1 2"),)),
+        3: ((("1 2 / 3", "1 3 / 2"),), ()),
+        4: ((("1 2 / 3 4", "1 3 / 2 4"),), (("1 2 / 3 4", "1 3 / 2 4"),)),
     }
     violations = []
     for n in range(1, min(4, max_n) + 1):
         report = differential_check(n)
         violations.extend(f"n={n}: {v}" for v in report.violations)
-        want_set, want_multiset, pair = expected_classes[n]
-        if len(report.set_ambiguous) != want_set:
+        got = tuple(
+            tuple(tuple(t.to_text() for t in cls) for cls in classes)
+            for classes in (report.set_ambiguous, report.multiset_ambiguous)
+        )
+        if got != expected_classes[n]:
             violations.append(
-                f"n={n}: {len(report.set_ambiguous)} ambiguous set classes, "
-                f"want {want_set}"
+                f"n={n}: ambiguous classes {got}, want {expected_classes[n]}"
             )
-        if len(report.multiset_ambiguous) != want_multiset:
-            violations.append(
-                f"n={n}: {len(report.multiset_ambiguous)} ambiguous multiset "
-                f"classes, want {want_multiset}"
-            )
-        if pair is not None and report.set_ambiguous:
-            got = tuple(t.to_text() for t in report.set_ambiguous[0])
-            if got != pair:
-                violations.append(f"n={n}: ambiguous class {got}, want {pair}")
     return violations
 
 

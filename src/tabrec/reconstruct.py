@@ -246,12 +246,6 @@ def _reduce(n: int, level: dict, width: int):
     return tops, reduced
 
 
-def _row_tuple(word: int, n: int, width: int) -> tuple[int, ...]:
-    """The 0-based row of each entry 1..n of a packed row word."""
-    mask = (1 << width) - 1
-    return tuple(word >> width * i & mask for i in range(n))
-
-
 @functools.cache
 def _base_table(shape: Partition, width: int) -> dict:
     """Each tableau of ``shape``, keyed by the set of its 1-minors' words."""
@@ -292,10 +286,10 @@ def _base(n: int, shape: Partition, level: dict, width: int):
         # _locate commutes with transposition, so no member is transposed
         flip = shape[0] == 2
         seconds = [
-            rows.index(0, 1) + 1 if flip else rows.index(1) + 1
+            t.rows[0][1] if flip else t.rows[1][0]
             for w, s in level.items()
             if (s[0] if flip else len(s)) == 2
-            for rows in [_row_tuple(w, n - 1, width)]
+            for t in [_tableau_of(w, n - 1, width)]
         ]
         if not seconds:
             line = "column" if flip else "row"

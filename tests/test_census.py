@@ -31,7 +31,7 @@ from tabrec.census import (
     verify_proposition,
 )
 from tabrec.core import StandardTableau, enumerate_syt_all
-from tabrec.reconstruct import TooSmallError
+from tabrec.reconstruct import Invalid, TooSmallError
 from tabrec.taquin import (
     _tableau_of,
     Deck,
@@ -122,11 +122,14 @@ def test_census_k2_runs():
 
 
 def test_census_deterministic_across_jobs():
-    reports = [census(6, 1, "set", jobs=j) for j in (1, 2, 8)]
-    texts = {r.to_text() for r in reports}
-    jsons = {r.to_json() for r in reports}
-    assert len(texts) == 1
-    assert len(jsons) == 1
+    # at k = 2 the deck keys are Deck and DeckMultiset values, pickled back
+    # from the workers and merged by their hash
+    for k, mode in ((1, "set"), (2, "set"), (2, "multiset")):
+        reports = [census(6, k, mode, jobs=j) for j in (1, 2, 8)]
+        texts = {r.to_text() for r in reports}
+        jsons = {r.to_json() for r in reports}
+        assert len(texts) == 1, (k, mode)
+        assert len(jsons) == 1, (k, mode)
 
 
 def test_census_report_serialization():
@@ -389,6 +392,67 @@ def test_walks_past_the_cap_fail_before_enumerating(monkeypatch):
             differential_check(n)
         with pytest.raises(ResourceLimitError, match="1000000"):
             compute_H1_exact(n)
+
+
+def wrong_delete(t, m):
+    """delete_entry, except that it deletes 1 when asked for n - 1."""
+    return delete_entry(t, 1 if m == t.n - 1 else m)
+
+
+def refuse(n):
+    raise VerificationError("refused")
+
+
+def no_multiset_classes(n):
+    return dataclasses.replace(differential_check(n), multiset_ambiguous=())
+
+
+@pytest.mark.parametrize(
+    "suite, name, fake, count, violation",
+    [
+        ("lemma3.1", "reconstruct_shape", lambda deck: (9,), 40,
+         "shape of '1 2 3': got (9,), want (3,)"),
+        ("lemma3.2", "locate_max", lambda deck: (9, 9), 36,
+         "location of 4 in '1 2 3 4': got (9, 9), want (1, 4)"),
+        ("lemma3.3", "reduce_deck", lambda deck: deck, 42,
+         "reduced deck of '1 2' differs from the deck of its (n-1)-entry minor"),
+        ("lemma3.3", "delete_entry", wrong_delete, 28,
+         "double deletion from '1 2 4 / 3' depends on the order of removing "
+         "the top two entries"),
+        ("lemma3.6", "reconstruct_base", lambda deck, shape: text("1"), 32,
+         "base reconstruction of '1 2' failed"),
+        ("theorem3.7", "reconstruct_from_set", lambda deck: Invalid("wrong"), 26,
+         "round trip of '1 2 3 4 5': invalid wrong"),
+        ("section4", "reconstruct_from_multiset", lambda deck: Invalid("wrong"),
+         17, "n=1: multiset deck of '1': got 'invalid wrong', census says "
+         "'unique 1'"),
+        ("section4", "differential_check", no_multiset_classes, 2,
+         "n=2: ambiguous classes ((('1 / 2', '1 2'),), ()), want "
+         "((('1 / 2', '1 2'),), (('1 / 2', '1 2'),))"),
+        ("proposition5", "verify_proposition", refuse, 2, "n=4: refused"),
+    ],
+)
+def test_suites_report_wrong_answers(
+    monkeypatch, suite, name, fake, count, violation
+):
+    monkeypatch.setattr(census_module, name, fake)
+    violations = VERIFY_SUITES[suite](5)
+    assert len(violations) == count
+    assert violations[0] == violation
+
+
+def test_differential_check_reports_disagreements(monkeypatch):
+    monkeypatch.setattr(
+        census_module, "reconstruct_from_set", lambda deck: Invalid("wrong")
+    )
+    report = differential_check(3)
+    assert len(report.violations) == 4
+    first = (
+        "set deck of '1 2 3': got 'invalid wrong', census says 'unique 1 2 3'"
+    )
+    assert report.violations[0] == first
+    assert report.to_text().splitlines()[0].endswith("violations=4")
+    assert f"violation {first}" in report.to_text().splitlines()
 
 
 def test_common_bound_suite_cap(monkeypatch):

@@ -9,6 +9,7 @@ installed console script does, so it needs no install; and
 is skipped unless one is on PATH (after ``pip install -e .``).
 """
 
+import importlib
 import io
 import json
 import os
@@ -22,6 +23,7 @@ import pytest
 import tabrec
 from tabrec.cli import run
 from tabrec.core import StandardTableau, enumerate_syt_all
+from tabrec.reconstruct import Invalid
 from tabrec.taquin import minor_multiset, minor_set
 
 
@@ -209,6 +211,22 @@ def test_verify_runs_clean_suites(capsys):
     )
     assert status == 0
     assert out == "verify suite=theorem3.7 max-n=6 violations=0\n"
+
+
+def test_verify_exits_one_with_violations_on_stderr(capsys, monkeypatch):
+    # the package re-exports the census function under the module's name
+    census_module = importlib.import_module("tabrec.census")
+    monkeypatch.setattr(
+        census_module, "reconstruct_from_set", lambda deck: Invalid("wrong")
+    )
+    status, out, err = invoke(
+        capsys, "verify", "--suite", "theorem3.7", "--max-n", "5"
+    )
+    assert status == 1
+    assert out == "verify suite=theorem3.7 max-n=5 violations=26\n"
+    lines = err.splitlines()
+    assert len(lines) == 26
+    assert lines[0] == "round trip of '1 2 3 4 5': invalid wrong"
 
 
 def test_verify_rejects_unknown_suite(capsys):

@@ -6,7 +6,9 @@ relies on (validity, corner bookkeeping, the deck-reduction identities,
 and commutation with transposition) over every tableau of small sizes.
 """
 
+import dataclasses
 import importlib
+import pickle
 
 import pytest
 
@@ -239,6 +241,29 @@ def test_deck_equality_and_containment():
     assert text("1 2") in a
     assert len(a) == 2
     assert a != minor_set(text("1 2 3"), 1)
+
+
+def test_deck_text_tolerates_one_trailing_newline():
+    # `tabrec minors ... | tabrec reconstruct` feeds the text with a newline
+    t = text("1 2 / 3")
+    for deck in (minor_set(t, 1), minor_multiset(t, 1)):
+        body = deck.to_text()
+        assert type(deck).from_text(body + "\n") == deck
+        with pytest.raises(NotADeckError, match="4 member lines"):
+            type(deck).from_text(body + "\n\n")
+
+
+def test_decks_pickle_and_stay_frozen():
+    t = text("1 3 4 / 2 5")
+    for k in (1, 2):
+        for deck in (minor_set(t, k), minor_multiset(t, k)):
+            for protocol in (2, pickle.HIGHEST_PROTOCOL):
+                copy = pickle.loads(pickle.dumps(deck, protocol))
+                assert copy == deck
+                assert hash(copy) == hash(deck)
+                assert copy.to_text() == deck.to_text()
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                deck.k = 3
 
 
 def test_multiset_text_rejects_non_ascii_and_overlong_multiplicities():
