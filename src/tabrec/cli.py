@@ -3,6 +3,7 @@ reconstruction, and the exhaustive verification suites."""
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from .census import (
@@ -54,6 +55,9 @@ def _parse_jobs(text: str) -> int:
     return jobs
 
 
+# one parser serves every run(): parse_args leaves it unchanged, and argparse
+# finds sys.stdout, sys.stderr and the terminal width only when it prints
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tabrec",
@@ -226,9 +230,8 @@ def run(argv: list[str]) -> int:
     0 on success, 1 on a domain error (or a non-unique outcome under
     --expect-unique), 2 on a usage error.
     """
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -11,6 +11,7 @@ Conventions used throughout the package:
 """
 
 from itertools import chain
+from operator import lt
 from typing import Iterable, Iterator
 
 
@@ -71,32 +72,27 @@ class StandardTableau:
     __slots__ = ("rows", "shape", "_hash")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        self.rows = tuple(map(tuple, rows))
-        if any(type(v) is not int for v in chain.from_iterable(self.rows)):
+        # checks run as C-level passes; messages are built only on failure
+        self.rows = rows = tuple(map(tuple, rows))
+        if not set(map(type, chain.from_iterable(rows))) <= {int}:
             raise EntryError("entries must be integers (bool excluded)")
-        self.shape = check_partition(len(row) for row in self.rows)
+        self.shape = check_partition(map(len, rows))
         n = sum(self.shape)
-        seen = sorted(chain.from_iterable(self.rows))
+        seen = sorted(chain.from_iterable(rows))
         if seen != list(range(1, n + 1)):
-            for i, v in enumerate(seen):
-                if v != i + 1:
-                    raise EntryError(
-                        f"entries are not a permutation of 1..{n} "
-                        f"(expected {i + 1}, found {v})"
-                    )
-        for i, row in enumerate(self.rows):
-            if any(a >= b for a, b in zip(row, row[1:])):
-                raise OrderError(f"row {i + 1} is not strictly increasing")
-        # rows shrink downward, so zip pairs each cell with the one below it
-        bad = [
-            j
-            for upper, lower in zip(self.rows, self.rows[1:])
-            for j, (a, b) in enumerate(zip(upper, lower))
-            if a >= b
-        ]
-        if bad:
-            raise OrderError(f"column {min(bad) + 1} is not strictly increasing")
-        self._hash = hash(self.rows)
+            i, v = next((i, v) for i, v in enumerate(seen, 1) if v != i)
+            raise EntryError(
+                f"entries are not a permutation of 1..{n} (expected {i}, found {v})"
+            )
+        for i, row in enumerate(rows, 1):
+            if not all(map(lt, row, row[1:])):
+                raise OrderError(f"row {i} is not strictly increasing")
+        # rows shrink downward, so map pairs each cell with the one below it
+        below = [list(map(lt, upper, lower)) for upper, lower in zip(rows, rows[1:])]
+        if not all(map(all, below)):
+            bad = min(flags.index(False) for flags in below if not all(flags))
+            raise OrderError(f"column {bad + 1} is not strictly increasing")
+        self._hash = hash(rows)
 
     @classmethod
     def _make(cls, rows: Iterable[Iterable[int]]) -> "StandardTableau":
@@ -151,7 +147,7 @@ class StandardTableau:
         rows = []
         for chunk in text.split("/"):
             try:
-                rows.append([int(tok) for tok in chunk.split()])
+                rows.append(list(map(int, chunk.split())))
             except ValueError as exc:
                 raise EntryError(f"non-integer entry in {chunk!r}") from exc
         return cls(rows)

@@ -100,10 +100,10 @@ def format_outcome(outcome: Outcome) -> str:
     return f"invalid {outcome.reason}"
 
 
-def _check_one_minor_deck(deck: Deck) -> None:
+def _check_one_minor_deck(deck: Deck | DeckMultiset) -> None:
     if deck.k != 1:
         raise NotADeckError(f"expected a deck of 1-minors, got k={deck.k}")
-    if not deck.members:
+    if not len(deck):
         raise NotADeckError("empty deck")
 
 
@@ -163,7 +163,7 @@ def locate_max(deck: Deck) -> Cell:
     if n < 4:  # _locate raises TooSmallError, before _reduce needs a shift
         return _locate(n, (), [])
     shape = reconstruct_shape(deck)
-    return _locate(n, shape, _reduce(n, _level(deck, width), width)[0])
+    return _locate(n, shape, _reduce(n, _level(deck.members, width), width)[0])
 
 
 def _locate(n: int, shape: Partition, tops) -> Cell:
@@ -218,14 +218,14 @@ def reduce_deck(deck: Deck) -> Deck:
     if n < 2:
         raise NotADeckError(f"no deck to reduce at n={n}")
     width = n.bit_length()
-    reduced = _reduce(n, _level(deck, width), width)[1]
+    reduced = _reduce(n, _level(deck.members, width), width)[1]
     return Deck((_tableau_of(w, n - 2, width) for w in reduced), 1, n - 1)
 
 
-def _level(deck: Deck, width: int) -> dict:
+def _level(members, width: int) -> dict:
     """Each member's packed row word, ``width`` bits per entry, mapped to
-    its shape."""
-    return {_word_of(m, width): m.shape for m in deck.members}
+    its shape, in the members' order."""
+    return {_word_of(m, width): m.shape for m in members}
 
 
 def _reduce(n: int, level: dict, width: int):
@@ -265,7 +265,7 @@ def reconstruct_base(deck: Deck, shape: Partition) -> StandardTableau:
     """
     _check_one_minor_deck(deck)
     width = deck.n.bit_length()  # fits every row index
-    level = _level(deck, width)
+    level = _level(deck.members, width)
     base = _base(deck.n, shape, level, width)
     if base is None:
         raise UnsupportedShapeError(f"{shape} is not a base shape")
@@ -319,15 +319,16 @@ def _reconstruct_inductive(deck: Deck | DeckMultiset) -> StandardTableau:
     too.  Never falls back to exhaustive search, so a deck that is not a
     genuine 1-minor set surfaces as an error somewhere along the way.
     """
+    _check_one_minor_deck(deck)
     cards = deck.cards if isinstance(deck, DeckMultiset) else ()
-    deck = deck.support() if cards else deck
+    members = [m for m, _ in cards] if cards else deck.members
     n = deck.n
-    shape = reconstruct_shape(deck)
+    shape = _shape(n, {m.shape for m in members})
     # members have at most len(shape) rows, and no level's shape, so no
     # candidate, has more than one row beyond theirs: every 0-based row is
     # at most len(shape) < 2**width
     width = len(shape).bit_length()
-    words = level = _level(deck, width)
+    words = level = _level(members, width)
     cells = []
     while (base := _base(n, shape, level, width)) is None:
         tops, reduced = _reduce(n, level, width)
@@ -350,9 +351,10 @@ def _reconstruct_inductive(deck: Deck | DeckMultiset) -> StandardTableau:
     minors = _minor_words(candidate, width)
     if set(minors) != set(words):
         raise NotADeckError("reconstructed candidate has a different deck")
-    multiplicities = {_word_of(m, width): k for m, k in cards}
-    if cards and Counter(minors) != Counter(multiplicities):
-        raise NotADeckError("reconstructed candidate has a different multiset")
+    if cards:  # distinct members have distinct words, so words lines up with cards
+        counts = dict(zip(words, (k for _, k in cards)))
+        if Counter(minors) != Counter(counts):
+            raise NotADeckError("reconstructed candidate has a different multiset")
     return candidate
 
 
@@ -395,9 +397,7 @@ def reconstruct_from_multiset(cards: DeckMultiset) -> Outcome:
 
 def _reconstruct(deck: Deck | DeckMultiset) -> Outcome:
     """reconstruct_from_set, or reconstruct_from_multiset for a multiset."""
-    if deck.k != 1:
-        return Invalid(f"expected a deck of 1-minors, got k={deck.k}")
-    if deck.n <= 4:
+    if deck.k == 1 and deck.n <= 4:
         return _exhaustive_set(deck)
     try:
         return Unique(_reconstruct_inductive(deck))

@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import tabrec
+from tabrec import cli
 from tabrec.cli import run
 from tabrec.core import StandardTableau, enumerate_syt_all
 from tabrec.reconstruct import Invalid
@@ -386,3 +387,40 @@ def test_minors_level_cap_exits_with_error(capsys, monkeypatch):
         assert status == 1
         assert out == ""
         assert err.startswith("error:") and "exceeds the cap of 100" in err
+
+
+def test_cached_parser_keeps_no_state_between_runs(capsys, monkeypatch):
+    # run() builds its parser once per process; every verb's output must
+    # still be the same whatever ran before it
+    monkeypatch.setenv("COLUMNS", "100")
+    set_deck = minor_set(StandardTableau.from_text("1 3 5 / 2 4"), 1)
+    cards = minor_multiset(StandardTableau.from_text("1 2 4 / 3 5"), 1)
+    calls = [
+        (["census", "--n"], None),
+        (["--help"], None),
+        (["delete", "--tableau", "2 1", "--entry", "1"], None),
+        (["reconstruct"], set_deck.to_text()),
+        (["reconstruct", "--multiset"], cards.to_text()),
+        (["enumerate", "--n", "3"], None),
+    ]
+
+    def results(order):
+        got = {}
+        for argv, stdin in order:
+            if stdin is not None:
+                feed(monkeypatch, stdin)
+            got[tuple(argv)] = invoke(capsys, *argv)
+        return got
+
+    forward = results(calls)
+    assert results(calls[::-1]) == forward
+    assert [forward[tuple(argv)][0] for argv, _ in calls] == [2, 0, 1, 0, 0, 0]
+    assert "usage: tabrec" in forward[("census", "--n")][2]
+    assert forward[("--help",)][1].startswith("usage: tabrec")
+    assert forward[("reconstruct",)][1] == "unique 1 3 5 / 2 4\n"
+    assert forward[("reconstruct", "--multiset")][1] == "unique 1 2 4 / 3 5\n"
+    # the help text follows the terminal width of the call, not of the build
+    monkeypatch.setenv("COLUMNS", "40")
+    narrow = invoke(capsys, "--help")[1]
+    assert narrow == cli._build_parser.__wrapped__().format_help()
+    assert narrow != forward[("--help",)][1]

@@ -1,4 +1,5 @@
-"""Property tests for the three text parsers, driven by hypothesis.
+"""Property tests for the three text parsers and the tableau
+constructor's checks, driven by hypothesis.
 
 Every input either parses or raises ``TableauError``, never another
 exception, and whatever parses prints back to a text that parses to
@@ -6,10 +7,16 @@ the same value and prints again byte for byte the same.
 
 Inputs mix arbitrary text with text in the parsers' own alphabet and
 with canonical forms of real tableaux and decks edited in a few places,
-so that most inputs get past the first check.  Runs are derandomized
-with a fixed example count, so the suite is repeatable and fast; the
-module is skipped when hypothesis is not installed.
+so that most inputs get past the first check.  The tableau constructor
+is also run on the rows of real tableaux with defects added, against a
+reference copy of its checks written as per-entry generators: it must
+accept the same rows, and reject the rest with the same error class and
+message.  Runs are derandomized with a fixed example count, so the
+suite is repeatable and fast; the module is skipped when hypothesis is
+not installed.
 """
+
+from itertools import chain
 
 import pytest
 
@@ -17,7 +24,14 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from tabrec.core import StandardTableau, TableauError, enumerate_syt_all
+from tabrec.core import (
+    EntryError,
+    OrderError,
+    StandardTableau,
+    TableauError,
+    check_partition,
+    enumerate_syt_all,
+)
 from tabrec.taquin import Deck, DeckMultiset, minor_multiset, minor_set
 
 FUZZ = settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -107,3 +121,82 @@ def test_deck_multiset_from_text_parses_or_rejects(text):
     if parsed is not None:
         assert_text_fixed_point(DeckMultiset.from_text, parsed)
 
+
+
+def reference_validate(rows):
+    """The constructor's checks as per-entry generators, in their order:
+    the oracle for the C-level passes that replaced them."""
+    rows = tuple(map(tuple, rows))
+    if any(type(v) is not int for v in chain.from_iterable(rows)):
+        raise EntryError("entries must be integers (bool excluded)")
+    shape = check_partition(len(row) for row in rows)
+    n = sum(shape)
+    seen = sorted(chain.from_iterable(rows))
+    if seen != list(range(1, n + 1)):
+        for i, v in enumerate(seen):
+            if v != i + 1:
+                raise EntryError(
+                    f"entries are not a permutation of 1..{n} "
+                    f"(expected {i + 1}, found {v})"
+                )
+    for i, row in enumerate(rows):
+        if any(a >= b for a, b in zip(row, row[1:])):
+            raise OrderError(f"row {i + 1} is not strictly increasing")
+    bad = [
+        j
+        for upper, lower in zip(rows, rows[1:])
+        for j, (a, b) in enumerate(zip(upper, lower))
+        if a >= b
+    ]
+    if bad:
+        raise OrderError(f"column {min(bad) + 1} is not strictly increasing")
+
+
+# swaps keep a permutation, so only they reach the row and column checks;
+# they are drawn as often as the other defects together
+DEFECTS = ("swap",) * 6 + ("duplicate", "zero", "negative", "bool", "gap", "ragged")
+
+
+@st.composite
+def defective_rows(draw):
+    """The rows of a real tableau with up to four defects added."""
+    rows = [list(row) for row in draw(st.sampled_from(TABLEAUX)).rows]
+    for _ in range(draw(st.integers(0, 4))):
+        cells = [(i, j) for i, row in enumerate(rows) for j in range(len(row))]
+        if not cells:
+            break
+        i, j = draw(st.sampled_from(cells))
+        k, m = draw(st.sampled_from(cells))
+        defect = draw(st.sampled_from(DEFECTS))
+        if defect == "swap":
+            rows[i][j], rows[k][m] = rows[k][m], rows[i][j]
+        elif defect == "duplicate":
+            rows[i][j] = rows[k][m]
+        elif defect == "zero":
+            rows[i][j] = 0
+        elif defect == "negative":
+            rows[i][j] = -draw(st.integers(1, 9))
+        elif defect == "bool":
+            rows[i][j] = draw(st.booleans())
+        elif defect == "gap":
+            rows[i][j] += draw(st.integers(1, 9))
+        else:  # move a row's last entry to the end of any row, or a new one
+            target = draw(st.integers(0, len(rows)))
+            if target == len(rows):
+                rows.append([])
+            rows[target].append(rows[i].pop())
+    return rows
+
+
+@settings(FUZZ, max_examples=1000)
+@given(defective_rows())
+def test_validation_matches_generator_reference(rows):
+    try:
+        reference_validate(rows)
+    except TableauError as want:
+        with pytest.raises(TableauError) as got:
+            StandardTableau(rows)
+        assert type(got.value) is type(want)
+        assert str(got.value) == str(want)
+    else:
+        assert StandardTableau(rows).rows == tuple(map(tuple, rows))
