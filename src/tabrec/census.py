@@ -19,7 +19,14 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
-from .core import StandardTableau, TableauError, enumerate_syt, enumerate_syt_all
+from .core import (
+    CENSUS_CAP,
+    ResourceLimitError,
+    StandardTableau,
+    TableauError,
+    enumerate_syt,
+    enumerate_syt_all,
+)
 from .reconstruct import (
     Ambiguous,
     Unique,
@@ -37,16 +44,11 @@ from .taquin import (
     _add,
     _tableau_of,
     OutOfRangeError,
-    ResourceLimitError,
     delete_entry,
     minor_multiset,
     minor_set,
 )
 
-# largest |Y_n| an exhaustive walk covers (n <= 13); census time grows ~4x
-# per size (set mode, 2-core Xeon: 0.2 s at n = 11, 1.4 s at n = 12 and
-# 5.8 s with 309 MB peak RSS at n = 13, the last two by the CLI)
-CENSUS_CAP = 10**6
 MAX_HBOUND_N = 1000  # verify_proposition's O(n^2) deletions take ~1 s here
 
 # number of tableaux with n entries: a(n) = a(n-1) + (n-1) a(n-2),

@@ -4,7 +4,9 @@ Deleting entry m from a tableau vacates its cell, slides the hole right
 or down (always swapping with the smaller of the two neighbouring
 entries) until it reaches an outer corner, removes that corner, and
 renumbers every entry p > m to p - 1.  A k-minor is the result of k
-successive deletions.
+successive deletions.  Decks slide once per run of entries in which each
+next entry sits right of or below the one before, since every entry of
+such a run gives the same minor.
 """
 
 from collections import Counter
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 
 from .core import (
     Cell,
+    ResourceLimitError,
     StandardTableau,
     TableauError,
 )
@@ -25,32 +28,35 @@ class NotADeckError(TableauError):
     """Input cannot be a deck of k-minors."""
 
 
-class ResourceLimitError(TableauError):
-    """Requested computation exceeds a fixed size cap."""
-
-
 # most distinct minors one level of minor_set/minor_multiset may hold.  Levels
 # grow fast: on the 55-cell column-filled staircase k = 5, 6, 7 hold 2,064,
-# 5,894 and 16,287 members and take about 1, 3.5 and 9 s, so with this cap
-# its --k 20 stops in 4-6 s instead of running for hours
+# 5,894 and 16,287 members and take about 0.2, 0.5 and 1.7 s (2-core Xeon,
+# Python 3.11), so with this cap its --k 20 stops in about 1.2 s instead of
+# running for hours
 MAX_MINOR_LEVEL = 10**4
 
 
-def _slide(tableau: StandardTableau, m: int) -> tuple[list[Cell], list[list[int]]]:
+def _slide(
+    tableau: StandardTableau, m: int, cell: Cell | None = None
+) -> tuple[list[Cell], list[list[int]]]:
     """Vacate the cell of m and slide the hole to an outer corner.
 
-    Returns the hole's cell trajectory (1-based, starting at m's cell)
-    and the rows after sliding, with the vacated corner removed.  Every
-    entry p > m is renumbered to p - 1 while the rows are copied; that
-    keeps their order, so the slide moves the same entries.
+    ``cell`` is m's 0-based (row, col), trusted; without it m is checked
+    against 1..n and found by ``cell_of``.  Returns the hole's cell
+    trajectory (1-based, starting at m's cell) and the rows after
+    sliding, with the vacated corner removed.  Every entry p > m is
+    renumbered to p - 1 while the rows are copied; that keeps their
+    order, so the slide moves the same entries.
     """
-    n = tableau.n
-    if not 1 <= m <= n:
-        raise OutOfRangeError(f"entry {m} outside 1..{n}")
+    if cell is None:
+        n = tableau.n
+        if not 1 <= m <= n:
+            raise OutOfRangeError(f"entry {m} outside 1..{n}")
+        r, c = tableau.cell_of(m)
+        cell = r - 1, c - 1
     rows = [[v - 1 if v > m else v for v in row] for row in tableau.rows]
-    r, c = tableau.cell_of(m)
-    i, j = r - 1, c - 1
-    path = [(r, c)]
+    i, j = cell
+    path = [(i + 1, j + 1)]
     while True:
         has_right = j + 1 < len(rows[i])
         has_below = i + 1 < len(rows) and j < len(rows[i + 1])
@@ -329,7 +335,13 @@ def _parse_deck_lines(text: str, multiset: bool):
 
 
 def _minors(tableau: StandardTableau, k: int) -> dict:
-    """Each k-minor of ``tableau`` mapped to its number of deletion sequences."""
+    """Each k-minor of ``tableau`` mapped to its number of deletion sequences.
+
+    If m + 1 sits right of or below m, deleting m first moves m + 1 into
+    m's cell and then slides on as deleting m + 1 does, so T - m = T - (m + 1).
+    Each tableau's entries therefore split into runs of such neighbours,
+    and one slide, of the run's last entry, serves the whole run.
+    """
     n = tableau.n
     if not 0 <= k <= n:
         raise OutOfRangeError(f"minor order {k} outside 0..{n}")
@@ -338,9 +350,20 @@ def _minors(tableau: StandardTableau, k: int) -> dict:
     for _ in range(k):
         nxt: dict = {}
         for t, mult in current.items():
+            cells = [None] * (t.n + 2)  # cells[v] is v's 0-based cell
+            for i, row in enumerate(t.rows):
+                for j, v in enumerate(row):
+                    cells[v] = i, j
+            run = 0
             for m in range(1, t.n + 1):
-                minor = delete_entry(t, m)
-                nxt[minor] = nxt.get(minor, 0) + mult
+                run += mult
+                i, j = cell = cells[m]
+                after = cells[m + 1]
+                if after == (i, j + 1) or after == (i + 1, j):
+                    continue
+                minor = StandardTableau._make(_slide(t, m, cell)[1])
+                nxt[minor] = nxt.get(minor, 0) + run
+                run = 0
             if len(nxt) > MAX_MINOR_LEVEL:
                 raise ResourceLimitError(
                     f"a minor level exceeds the cap of {MAX_MINOR_LEVEL} members"

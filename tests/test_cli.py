@@ -9,6 +9,7 @@ installed console script does, so it needs no install; and
 is skipped unless one is on PATH (after ``pip install -e .``).
 """
 
+import hashlib
 import importlib
 import io
 import json
@@ -329,6 +330,24 @@ def test_enumerate_single_row_of_1100(capsys):
     assert status == 0
     assert err == ""
     assert out == " ".join(str(v) for v in range(1, 1101)) + "\n"
+
+
+def test_enumerate_refuses_shapes_over_the_cap(capsys):
+    for argv in (["--shape", "6,5,4,3,2,1"], []):
+        status, out, err = invoke(capsys, "enumerate", "--n", "21", *argv)
+        assert status == 1
+        assert out == ""
+        assert err.startswith("error:") and "exceeds the cap" in err
+
+
+def test_enumerate_eight_output_is_unchanged(capsys):
+    status, out, err = invoke(capsys, "enumerate", "--n", "8")
+    assert (status, err) == (0, "")
+    assert len(out.splitlines()) == 764
+    # sha256 of the output before shapes were checked against the cap
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2a6bd23c78332f8398c479dc0faba13f790489ce19a54656a534e986194685ef"
+    )
 
 
 def test_reconstruct_deep_deck_expect_unique(capsys, monkeypatch):

@@ -11,11 +11,15 @@ from math import factorial
 import pytest
 
 from tabrec.core import (
+    CENSUS_CAP,
     EntryError,
     OrderError,
+    ResourceLimitError,
     ShapeError,
     StandardTableau,
     TableauError,
+    _capped,
+    _syt_count,
     check_partition,
     enumerate_partitions,
     enumerate_syt,
@@ -174,6 +178,14 @@ def test_row_word_and_sort_order():
     assert sorted(ordered, key=StandardTableau.sort_key) == ordered
 
 
+def test_sort_key_orders_like_shape_then_row_word():
+    for n in range(9):
+        tableaux = list(enumerate_syt_all(n))[::-1]
+        by_word = sorted(tableaux, key=lambda t: (t.shape, t.row_word()))
+        assert sorted(tableaux, key=StandardTableau.sort_key) == by_word
+        assert sorted(tableaux) == by_word
+
+
 def test_text_round_trip_exhaustive():
     for n in range(8):
         for t in enumerate_syt_all(n):
@@ -248,6 +260,37 @@ def test_enumerate_syt_counts_match_hook_formula():
             assert words == sorted(words)
             for t in tableaux:
                 assert t.shape == shape
+
+
+def test_hook_counts_sum_to_the_involution_numbers():
+    for n in range(13):
+        counts = [_syt_count(shape) for shape in enumerate_partitions(n)]
+        assert counts == [hook_length_count(s) for s in enumerate_partitions(n)]
+        assert sum(counts) == involutions(n)
+
+
+def test_enumeration_refuses_shapes_over_the_cap():
+    # f^(6,5,4,3,2,1) = 1,100,742,656: building its fillings ran out of memory
+    with pytest.raises(ResourceLimitError, match="exceeds the cap of 1000000"):
+        enumerate_syt((6, 5, 4, 3, 2, 1))
+    first = next(
+        s for s in enumerate_partitions(21) if hook_length_count(s) > CENSUS_CAP
+    )
+    assert first == (14, 5, 1, 1)
+    tableaux = enumerate_syt_all(21)
+    with pytest.raises(ResourceLimitError, match=r"\(14, 5, 1, 1\)"):
+        next(tableaux)
+    # the largest shape count at n = 14 is under the cap, so it streams
+    assert max(map(hook_length_count, enumerate_partitions(14))) <= CENSUS_CAP
+    assert len(enumerate_syt((5, 4, 3, 2))) == hook_length_count((5, 4, 3, 2))
+    # near the cap the exact count decides: f = 2000 and f = 2,001,999
+    assert _capped((2000, 1)) == (2000, 1)
+    with pytest.raises(ResourceLimitError):
+        enumerate_syt((2000, 2))
+    # far over it, or past the cap of cells, no exact count is made
+    for shape in ((50000, 50000), (CENSUS_CAP + 1,)):
+        with pytest.raises(ResourceLimitError, match="cells or tableaux"):
+            enumerate_syt(shape)
 
 
 def test_enumerate_syt_all_counts_match_recurrence():

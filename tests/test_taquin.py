@@ -9,6 +9,7 @@ and commutation with transposition) over every tableau of small sizes.
 import dataclasses
 import importlib
 import pickle
+from collections import Counter
 
 import pytest
 
@@ -307,3 +308,67 @@ def test_minor_levels_are_capped(monkeypatch):
     for minors in (minor_set, minor_multiset):
         with pytest.raises(ResourceLimitError, match="cap of 104"):
             minors(t, 5)
+
+
+def right_or_below(a, b):
+    """True iff cell b is exactly one step right of or below cell a."""
+    return b in ((a[0], a[1] + 1), (a[0] + 1, a[1]))
+
+
+def test_minor_decks_match_per_entry_deletions():
+    # the decks slide once per run of adjacent entries; the oracle slides
+    # once per entry, and for k = 2 once per ordered deletion sequence
+    for n in range(1, 10):
+        for t in enumerate_syt_all(n):
+            cards = Counter(delete_entry(t, m) for m in range(1, n + 1))
+            assert minor_multiset(t, 1).counter() == cards
+            assert set(minor_set(t, 1)) == set(cards)
+            if 2 <= n <= 7:
+                pairs = Counter(
+                    delete_entry(u, m)
+                    for u in (delete_entry(t, m) for m in range(1, n + 1))
+                    for m in range(1, n)
+                )
+                assert minor_multiset(t, 2) == DeckMultiset(pairs.items(), 2, n)
+
+
+def test_adjacent_entries_give_the_same_minor():
+    # T - m = T - (m + 1) exactly when m + 1 is right of or below m; no
+    # other deletions coincide, so every slide gives a new member
+    for n in range(1, 10):
+        for t in enumerate_syt_all(n):
+            adjacent = 0
+            for m in range(1, n):
+                if right_or_below(t.cell_of(m), t.cell_of(m + 1)):
+                    assert delete_entry(t, m) == delete_entry(t, m + 1)
+                    adjacent += 1
+            assert len(minor_set(t, 1)) == n - adjacent
+    # 4 sits two rows down and one column left of 3: not adjacent
+    t = text("1 3 / 2 / 4")
+    assert (t.cell_of(3), t.cell_of(4)) == ((1, 2), (3, 1))
+    assert not right_or_below(t.cell_of(3), t.cell_of(4))
+    assert minor_set(t, 1).members == (
+        text("1 / 2 / 3"),
+        text("1 2 / 3"),
+        text("1 3 / 2"),
+    )
+
+
+def test_long_row_and_column_take_one_slide(monkeypatch):
+    slides = []
+    real = tabrec.taquin._slide
+
+    def counting(*args):
+        slides.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(tabrec.taquin, "_slide", counting)
+    row = StandardTableau([range(1, 20001)])
+    assert minor_set(row, 1).members == (StandardTableau([range(1, 20000)]),)
+    assert slides == [20000]
+    slides.clear()
+    column = StandardTableau([v] for v in range(1, 5001))
+    assert minor_multiset(column, 1).cards == (
+        (StandardTableau([v] for v in range(1, 5000)), 5000),
+    )
+    assert slides == [5000]
