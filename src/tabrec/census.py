@@ -28,16 +28,17 @@ from .core import (
     enumerate_syt_all,
 )
 from .reconstruct import (
+    _base,
+    _level,
+    _locate,
+    _reduce,
+    _shape,
     Ambiguous,
     Unique,
     TooSmallError,
     format_outcome,
     reconstruct_from_multiset,
     reconstruct_from_set,
-    reconstruct_base,
-    reconstruct_shape,
-    locate_max,
-    reduce_deck,
 )
 from .taquin import (
     _ROOT,
@@ -400,12 +401,20 @@ def differential_check(n: int) -> DifferentialReport:
     )
 
 
+def _levels(tableaux):
+    """Each tableau T as (T, level, width): T's slide-based 1-minor deck as
+    the loop's level (member word -> shape), at a width fitting every row."""
+    for t in tableaux:
+        width = t.n.bit_length()
+        yield t, _level(minor_set(t, 1).members, width), width
+
+
 def suite_shape_recovery(max_n: int) -> list[str]:
     """Shape recovered from the deck matches the true shape, n = 3..max_n."""
     return [
         f"shape of {t.to_text()!r}: got {got}, want {t.shape}"
-        for t in _walk(3, max_n)
-        if (got := reconstruct_shape(minor_set(t, 1))) != t.shape
+        for t, level, _ in _levels(_walk(3, max_n))
+        if (got := _shape(t.n, set(level.values()))) != t.shape
     ]
 
 
@@ -413,8 +422,9 @@ def suite_max_location(max_n: int) -> list[str]:
     """Located cell of n matches the true cell, n = 4..max_n."""
     return [
         f"location of {t.n} in {t.to_text()!r}: got {got}, want {want}"
-        for t in _walk(4, max_n)
-        if (got := locate_max(minor_set(t, 1))) != (want := t.cell_of(t.n))
+        for t, level, width in _levels(_walk(4, max_n))
+        if (got := _locate(t.n, t.shape, _reduce(t.n, level, width)[0]))
+        != (want := t.cell_of(t.n))
     ]
 
 
@@ -422,11 +432,10 @@ def suite_deck_reduction(max_n: int) -> list[str]:
     """Reduced deck equals the deck of T - n, and the double-deletion
     identity (T - (n-1)) - (n-1) = (T - n) - (n-1) holds, n = 2..max_n."""
     violations = []
-    for t in _walk(2, max_n):
+    for t, level, width in _levels(_walk(2, max_n)):
         n = t.n
-        reduced = reduce_deck(minor_set(t, 1))
-        direct = minor_set(delete_entry(t, n), 1)
-        if reduced != direct:
+        direct = _level(minor_set(delete_entry(t, n), 1).members, width)
+        if _reduce(n, level, width)[1] != direct:
             violations.append(
                 f"reduced deck of {t.to_text()!r} differs from the deck "
                 f"of its (n-1)-entry minor"
@@ -444,7 +453,7 @@ def suite_deck_reduction(max_n: int) -> list[str]:
 def suite_base_decks(max_n: int) -> list[str]:
     """Every tableau of a base shape - a row, a column, (n-1,1) or its
     transpose for n >= 4, (3,2) or (2,2,1) - with n <= max_n entries comes
-    back from its deck through reconstruct_base."""
+    back from its deck through Lemma 3.6's core."""
     _check_cap(max_n)
     violations = []
     for n in range(1, max_n + 1):
@@ -454,8 +463,8 @@ def suite_base_decks(max_n: int) -> list[str]:
         if n == 5:
             shapes |= {(3, 2), (2, 2, 1)}
         for shape in sorted(shapes, reverse=True):
-            for t in enumerate_syt(shape):
-                if reconstruct_base(minor_set(t, 1), shape) != t:
+            for t, level, width in _levels(enumerate_syt(shape)):
+                if _base(n, shape, level, width) != t:
                     violations.append(f"base reconstruction of {t.to_text()!r} failed")
     return violations
 

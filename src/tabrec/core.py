@@ -43,6 +43,9 @@ class ResourceLimitError(TableauError):
 # 1.4 s at n = 12 and 5.8 s with 309 MB peak RSS at n = 13, the last two by
 # the CLI)
 CENSUS_CAP = 10**6
+# most entries enumerate_syt holds, f^shape * n: every shape with n <= 15
+# fits; near the bound (3161, 1) peaks at 92 MB, (7,3,2,2,1,1) at 254 MB
+_MAX_ENTRIES = 10**7
 
 
 Partition = tuple[int, ...]
@@ -207,11 +210,17 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
             remainder -= nxt
 
 
-def _hooks(shape: Partition) -> list[int]:
-    """The hook length of every cell of ``shape``, row by row."""
-    cols: list[int] = []  # cols[j] is the length of column j
+def _conjugate(shape: Partition) -> Partition:
+    """The column lengths of ``shape``."""
+    cols: list[int] = []
     for i in range(len(shape), 0, -1):
         cols += [i] * (shape[i - 1] - len(cols))
+    return tuple(cols)
+
+
+def _hooks(shape: Partition) -> list[int]:
+    """The hook length of every cell of ``shape``, row by row."""
+    cols = _conjugate(shape)
     return [p - j + cols[j] - i - 1 for i, p in enumerate(shape) for j in range(p)]
 
 
@@ -225,21 +234,22 @@ def _syt_count(shape: Partition) -> int:
 
 
 def _capped(shape: Partition) -> Partition:
-    """``shape``, refused if it has more than CENSUS_CAP cells or tableaux.
-
-    Past the cap of cells even one row takes hours to fill, so its
-    tableaux are not counted.  A float estimate of log f^shape refuses a
-    shape far over the cap; the exact count, whose big-integer products
-    take minutes for a million cells far from a row, decides the rest.
+    """``shape``, refused if it has more than CENSUS_CAP cells or tableaux,
+    or more than _MAX_ENTRIES entries in all (f^shape * n).  A float
+    estimate of log f^shape refuses a shape far over the cap; the exact
+    count, whose big-integer products take minutes for a million cells
+    far from a row, decides the rest.
     """
     n = sum(shape)
     if (
         n > CENSUS_CAP
         or lgamma(n + 1) - fsum(map(log, _hooks(shape))) > log(CENSUS_CAP) + 1
-        or _syt_count(shape) > CENSUS_CAP
+        or (count := _syt_count(shape)) > CENSUS_CAP
+        or count * n > _MAX_ENTRIES
     ):
         raise ResourceLimitError(
-            f"shape {shape} exceeds the cap of {CENSUS_CAP} cells or tableaux"
+            f"shape {shape} exceeds the cap of {CENSUS_CAP} cells or tableaux "
+            f"or {_MAX_ENTRIES} entries"
         )
     return shape
 
@@ -247,23 +257,43 @@ def _capped(shape: Partition) -> Partition:
 def enumerate_syt(shape: Iterable[int]) -> list[StandardTableau]:
     """Every standard tableau of ``shape``, sorted by row-reading word.
 
-    Refuses a shape with more than CENSUS_CAP cells or tableaux.  Grows all
-    partial fillings one entry at a time: entry v may go at the end of
-    any row that is shorter than its part and than the row above it.
-    Every partial filling extends to a tableau, so the cap bounds them too.
+    Refuses a shape over the caps of _capped.  Fills rows in place, depth
+    first: entry v may end any row shorter than its part and than the row
+    above, and a shape taller than wide is filled by columns alike.  Each
+    partial filling extends to a tableau, so this costs O(f^shape * n).
     """
     shape = _capped(check_partition(shape))
-    fillings = [((),) * len(shape)]
-    for v in range(1, sum(shape) + 1):
-        fillings = [
-            rows[:i] + (row + (v,),) + rows[i + 1:]
-            for rows in fillings
-            for i, row in enumerate(rows)
-            if len(row) < shape[i] and (i == 0 or len(rows[i - 1]) > len(row))
-        ]
+    flip = bool(shape) and len(shape) > shape[0]
+    lines = _conjugate(shape) if flip else shape
+    n, k = sum(shape), len(lines)
+    rows, path, fillings = [[] for _ in shape], [], []
+    lens = [n + 1] + [0] * k  # lens[i + 1] is the length of line i
+    entries = list(range(n + 1))  # one int object per entry for all fillings
+    shared: dict = {}  # equal rows of different fillings share one tuple
+    v, i = 1, 0  # entry v goes next, on line i or the first valid line after
+    while True:
+        if v > n:
+            full = list(map(tuple, rows))
+            fillings.append(tuple(map(shared.setdefault, full, full)))
+            i = k
+        # line i takes v if it is shorter than the line before and its part
+        while i < k and not lens[i] > lens[i + 1] < lines[i]:
+            i += 1
+        if i < k:
+            rows[lens[i + 1] if flip else i].append(entries[v])
+            lens[i + 1] += 1
+            path.append(i)
+            v, i = v + 1, 0
+        elif path:
+            i = path.pop()
+            lens[i + 1] -= 1
+            rows[lens[i + 1] if flip else i].pop()
+            v, i = v - 1, i + 1
+        else:
+            break
     # equal shapes make row-by-row order the row-reading-word order
     fillings.sort()
-    return [StandardTableau._make(rows) for rows in fillings]
+    return list(map(StandardTableau._make, fillings))
 
 
 def enumerate_syt_all(n: int) -> Iterator[StandardTableau]:

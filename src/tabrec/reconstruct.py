@@ -1,21 +1,17 @@
 """Reconstructing a tableau from the set or multiset of its 1-minors.
 
-The constructive pipeline recovers, in order: the shape, the cell of the
-largest entry n, and the deck of the size-(n-1) tableau obtained by
-deleting n.  One pass per level repeats this on the reduced deck until
-a shape is decided directly: single rows and columns, two-row (or
-two-column) shapes whose second line has one cell, and the shapes (3,2)
-and (2,2,1), whose five possible decks are derived from their tableaux;
-then each level's n goes back in at its located cell.
-A level is a map from each member's packed row word (as in
-taquin._add) to its shape, so reducing it is a mask and one shorter
-row, and the base case is decided on the base level's words; no level
-is decoded into tableaux.  The public Lemma 3.2 and 3.3 functions pack
-their deck into a level and run the loop's own core, _reduce.  The
+Each lemma of the constructive pipeline has one core, which the loop and
+its verify suite in census both run: the shape (Lemma 3.1, _shape), the
+cell of the largest entry n (3.2, _locate), the deck of T - n (3.3,
+_reduce), and the shapes decided directly (3.6, _base): rows, columns,
+hooks and their transposes, (3,2) and (2,2,1).  The loop reduces level
+by level down to a base shape, then puts each level's n back at its
+located cell.  A level maps each member's packed row word (as in
+taquin._add) to its shape, so no level is decoded into tableaux.  The
 candidate is re-checked by comparing its 1-minors' words, from the
-slide-free recurrence, with the input's.
-The pipeline is complete for n >= 5; for n <= 4 exhaustive search gives
-a total answer (Unique, Ambiguous with all candidates, or Invalid).
+slide-free recurrence, with the input's.  The pipeline is complete for
+n >= 5; for n <= 4 exhaustive search gives a total answer (Unique,
+Ambiguous with all candidates, or Invalid).
 """
 
 import functools
@@ -46,10 +42,6 @@ from .taquin import (
 
 class TooSmallError(TableauError):
     """Tableau size below the operation's range."""
-
-
-class UnsupportedShapeError(TableauError):
-    """Shape is not one of the directly decidable base shapes."""
 
 
 class NoMatchError(TableauError):
@@ -107,22 +99,10 @@ def _check_one_minor_deck(deck: Deck | DeckMultiset) -> None:
         raise NotADeckError("empty deck")
 
 
-def reconstruct_shape(deck: Deck) -> Partition:
-    """Shape of the tableau whose set of 1-minors is ``deck``.
-
-    If the members show two or more shapes, the shape is their cellwise
-    union.  If they all share one shape, the tableau is rectangular and
-    the shape is recovered by re-adding the removed corner: extend a
-    single row (or column) by one cell, otherwise add 1 to the last
-    part.  Requires n >= 3; decks of smaller tableaux do not determine
-    the shape.
-    """
-    _check_one_minor_deck(deck)
-    return _shape(deck.n, {member.shape for member in deck.members})
-
-
 def _shape(n: int, shapes: set[Partition]) -> Partition:
-    """reconstruct_shape from the set of the members' shapes."""
+    """Lemma 3.1: the shape of a size-n tableau, n >= 3, from the set of
+    its 1-minors' shapes: their cellwise union if they differ, else the
+    rectangle that re-adding the removed corner gives."""
     if n < 3:
         raise TooSmallError(f"shape is not determined for n={n} < 3")
     if len(shapes) == 1:
@@ -146,30 +126,12 @@ def _shape(n: int, shapes: set[Partition]) -> Partition:
     return shape
 
 
-def locate_max(deck: Deck) -> Cell:
-    """Cell of the largest entry n in the tableau behind ``deck``.
-
-    A lone outer corner must hold n.  Otherwise, n shows up as n-1 at
-    its own corner in every member vacating a different corner, while
-    any other corner shows n-1 at most once; so a corner showing n-1 in
-    two or more members holds n, and a corner showing a smaller value in
-    any member cannot.  The one shape where neither test decides - a
-    rectangle with a single extra cell at the end of the first row or
-    below the last - puts n in that extra cell, which is unambiguous
-    once n >= 4.
-    """
-    _check_one_minor_deck(deck)
-    n, width = deck.n, deck.n.bit_length()
-    if n < 4:  # _locate raises TooSmallError, before _reduce needs a shift
-        return _locate(n, (), [])
-    shape = reconstruct_shape(deck)
-    return _locate(n, shape, _reduce(n, _level(deck.members, width), width)[0])
-
-
 def _locate(n: int, shape: Partition, tops) -> Cell:
-    """locate_max from the shape and, for each distinct member, its shape
-    and the cell of its n-1.  A member shows n-1 exactly at that cell and
-    a smaller entry at every other cell its shape covers."""
+    """Lemma 3.2: the cell of n in a tableau of ``shape``, n >= 4, from
+    tops (see _reduce).  A lone outer corner holds n.  A corner showing
+    n-1 in two members holds n, and one that a member covers with a
+    smaller entry cannot.  If neither test decides, the shape is a
+    rectangle plus one cell, and that cell holds n."""
     if n < 4:
         raise TooSmallError(f"location of n is not determined for n={n} < 4")
     corners = [
@@ -205,23 +167,6 @@ def _locate(n: int, shape: Partition, tops) -> Cell:
     raise NotADeckError("location of n is not determined by the deck")
 
 
-def reduce_deck(deck: Deck) -> Deck:
-    """Deck of T - n, obtained by deleting n-1 from every member.
-
-    In every 1-minor of T the entry n-1 is the largest, so it ends its
-    row in an outer corner: deleting it drops that cell, with no slide
-    and no renumbering.  Deduplication absorbs the one coincidence
-    (deleting n-1 from T-(n-1) and from T-n gives the same tableau).
-    """
-    _check_one_minor_deck(deck)
-    n = deck.n
-    if n < 2:
-        raise NotADeckError(f"no deck to reduce at n={n}")
-    width = n.bit_length()
-    reduced = _reduce(n, _level(deck.members, width), width)[1]
-    return Deck((_tableau_of(w, n - 2, width) for w in reduced), 1, n - 1)
-
-
 def _level(members, width: int) -> dict:
     """Each member's packed row word, ``width`` bits per entry, mapped to
     its shape, in the members' order."""
@@ -229,10 +174,10 @@ def _level(members, width: int) -> dict:
 
 
 def _reduce(n: int, level: dict, width: int):
-    """Lemmas 3.2 and 3.3 on a level of size-(n-1) members: (tops,
-    reduced).  tops lists each member's shape and the cell of its n-1,
-    which _locate reads; reduced is the level with n-1 deleted from every
-    member, a mask and one shorter row, as n-1 ends its row in a corner."""
+    """Lemma 3.3 on a level of size-(n-1) members: (tops, reduced).  tops
+    lists each member's shape and the cell of its n-1, for _locate.
+    reduced is the level of T - n: n-1 ends its row in a corner of every
+    member, so deleting it is a mask and one shorter row, with no slide."""
     shift = width * (n - 2)  # bits of each member's largest entry n-1
     low = (1 << shift) - 1
     tops, reduced = [], {}
@@ -252,31 +197,12 @@ def _base_table(shape: Partition, width: int) -> dict:
     return {frozenset(_minor_words(t, width)): t for t in enumerate_syt(shape)}
 
 
-def reconstruct_base(deck: Deck, shape: Partition) -> StandardTableau:
-    """The unique tableau of a base shape whose set of 1-minors is ``deck``.
-
-    Base shapes: (n) and its transpose (filled the only possible way),
-    (n-1,1) and its transpose for n >= 4 (the cell off the long line
-    holds n if the largest entry is located there, else the largest
-    value any member shows in that cell), and (3,2) with its transpose
-    (matched against the five decks derived from the shape's tableaux).
-    The result's deck must be ``deck``, so a ``shape`` that is not the
-    deck's raises NoMatchError.
-    """
-    _check_one_minor_deck(deck)
-    width = deck.n.bit_length()  # fits every row index
-    level = _level(deck.members, width)
-    base = _base(deck.n, shape, level, width)
-    if base is None:
-        raise UnsupportedShapeError(f"{shape} is not a base shape")
-    if set(_minor_words(base, width)) != set(level):
-        raise NoMatchError(f"no tableau of shape {shape} has this deck")
-    return base
-
-
 def _base(n: int, shape: Partition, level: dict, width: int):
-    """reconstruct_base on a level, each member's packed row word mapped
-    to its shape; None if ``shape`` is not a base shape."""
+    """Lemma 3.6: the tableau of a base shape from its level, or None for
+    any other shape.  A row or column fills one way; a hook's cell off
+    the long line holds n if n is located there, else the largest entry
+    a member shows there; (3,2) and (2,2,1) are matched against the decks
+    of their five tableaux.  The loop re-checks every result's deck."""
     if shape == (n,):
         return StandardTableau._make([range(1, n + 1)])
     if shape == (1,) * n:

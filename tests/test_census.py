@@ -410,16 +410,16 @@ def no_multiset_classes(n):
 @pytest.mark.parametrize(
     "suite, name, fake, count, violation",
     [
-        ("lemma3.1", "reconstruct_shape", lambda deck: (9,), 40,
+        ("lemma3.1", "_shape", lambda n, shapes: (9,), 40,
          "shape of '1 2 3': got (9,), want (3,)"),
-        ("lemma3.2", "locate_max", lambda deck: (9, 9), 36,
+        ("lemma3.2", "_locate", lambda n, shape, tops: (9, 9), 36,
          "location of 4 in '1 2 3 4': got (9, 9), want (1, 4)"),
-        ("lemma3.3", "reduce_deck", lambda deck: deck, 42,
+        ("lemma3.3", "_reduce", lambda n, level, width: ([], level), 42,
          "reduced deck of '1 2' differs from the deck of its (n-1)-entry minor"),
         ("lemma3.3", "delete_entry", wrong_delete, 28,
          "double deletion from '1 2 4 / 3' depends on the order of removing "
          "the top two entries"),
-        ("lemma3.6", "reconstruct_base", lambda deck, shape: text("1"), 32,
+        ("lemma3.6", "_base", lambda n, shape, level, width: text("1"), 32,
          "base reconstruction of '1 2' failed"),
         ("theorem3.7", "reconstruct_from_set", lambda deck: Invalid("wrong"), 26,
          "round trip of '1 2 3 4 5': invalid wrong"),

@@ -273,12 +273,14 @@ def test_enumeration_refuses_shapes_over_the_cap():
     # f^(6,5,4,3,2,1) = 1,100,742,656: building its fillings ran out of memory
     with pytest.raises(ResourceLimitError, match="exceeds the cap of 1000000"):
         enumerate_syt((6, 5, 4, 3, 2, 1))
+    # enumerate_syt_all refuses at the first shape over a cap, here the cap
+    # of 10**7 entries over all tableaux of the shape
     first = next(
-        s for s in enumerate_partitions(21) if hook_length_count(s) > CENSUS_CAP
+        s for s in enumerate_partitions(21) if 21 * hook_length_count(s) > 10**7
     )
-    assert first == (14, 5, 1, 1)
+    assert first == (15, 3, 2, 1)
     tableaux = enumerate_syt_all(21)
-    with pytest.raises(ResourceLimitError, match=r"\(14, 5, 1, 1\)"):
+    with pytest.raises(ResourceLimitError, match=r"\(15, 3, 2, 1\)"):
         next(tableaux)
     # the largest shape count at n = 14 is under the cap, so it streams
     assert max(map(hook_length_count, enumerate_partitions(14))) <= CENSUS_CAP
@@ -291,6 +293,55 @@ def test_enumeration_refuses_shapes_over_the_cap():
     for shape in ((50000, 50000), (CENSUS_CAP + 1,)):
         with pytest.raises(ResourceLimitError, match="cells or tableaux"):
             enumerate_syt(shape)
+
+
+def test_enumeration_refuses_shapes_over_the_entry_cap():
+    # f^(n-1,1) = n - 1 is far under the cap of tableaux, but holding them
+    # takes (n - 1) * n entries
+    for shape in ((999999, 1), (3162, 1)):
+        with pytest.raises(ResourceLimitError, match="10000000 entries"):
+            enumerate_syt(shape)
+    # the largest count at n = 15, 292,864 tableaux, is under it
+    assert max(map(hook_length_count, enumerate_partitions(15))) * 15 <= 10**7
+    assert _capped((3161, 1)) == (3161, 1)
+
+
+def reference_enumeration(shape):
+    """Every filling of ``shape``, grown breadth first by tuple
+    concatenation one entry at a time, then sorted: the reference for
+    enumerate_syt's depth-first walk."""
+    fillings = [((),) * len(shape)]
+    for v in range(1, sum(shape) + 1):
+        fillings = [
+            rows[:i] + (row + (v,),) + rows[i + 1:]
+            for rows in fillings
+            for i, row in enumerate(rows)
+            if len(row) < shape[i] and (i == 0 or len(rows[i - 1]) > len(row))
+        ]
+    fillings.sort()
+    return fillings
+
+
+def test_enumeration_matches_the_reference_for_every_small_shape():
+    for n in range(11):
+        for shape in enumerate_partitions(n):
+            got = [t.rows for t in enumerate_syt(shape)]
+            assert got == reference_enumeration(shape), shape
+
+
+def test_long_rows_columns_and_hooks_enumerate():
+    # a row or a column of n cells takes one walk step per cell, and a hook
+    # n steps per tableau; growing fillings by concatenation took 0.7 s for
+    # the row, 56 s for the column, 0.9 s for the hook and 31 s for its
+    # transpose
+    (row,) = enumerate_syt((20000,))
+    assert row.rows == (tuple(range(1, 20001)),)
+    (column,) = enumerate_syt((1,) * 20000)
+    assert column.rows == tuple((v,) for v in range(1, 20001))
+    hooks = enumerate_syt((700, 1))
+    assert [t.rows[1] for t in hooks] == [(v,) for v in range(701, 1, -1)]
+    tall = enumerate_syt((2,) + (1,) * 699)
+    assert [t.rows[0] for t in tall] == [(1, v) for v in range(2, 702)]
 
 
 def test_enumerate_syt_all_counts_match_recurrence():

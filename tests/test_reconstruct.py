@@ -1,9 +1,12 @@
 """Shape recovery, max location, deck reduction, base cases, and the
 full reconstruction pipeline for sets and multisets of 1-minors.
 
-Fixed expectations are the published example decks and outcomes; the
-exhaustive loops confirm each pipeline stage against every tableau of
-small sizes, leaving the largest sizes to the acceptance suite.
+The lemma tests run each lemma's one core, the function both the
+reconstruction loop and its verify suite call, on a Deck packed into
+the loop's level by ``packed``.  Fixed expectations are the published
+example decks and outcomes; the exhaustive loops confirm each pipeline
+stage against every tableau of small sizes, leaving the largest sizes to
+the acceptance suite.
 """
 
 import random
@@ -13,21 +16,20 @@ import pytest
 from tabrec.core import StandardTableau, enumerate_syt, enumerate_syt_all
 from tabrec.core import TableauError
 from tabrec.reconstruct import (
+    _base,
     _check_one_minor_deck,
+    _level,
     _locate,
+    _reduce,
+    _shape,
     Ambiguous,
     Invalid,
     NoMatchError,
     TooSmallError,
     Unique,
-    UnsupportedShapeError,
     format_outcome,
-    locate_max,
-    reconstruct_base,
     reconstruct_from_multiset,
     reconstruct_from_set,
-    reconstruct_shape,
-    reduce_deck,
 )
 from tabrec.taquin import (
     Deck,
@@ -51,124 +53,156 @@ def deck_of(*texts, n=None):
     return Deck(members, 1, size)
 
 
+def packed(deck):
+    """``deck`` as the loop's (n, level, width), after the loop's input
+    check; width n.bit_length() fits every row index, as in the suites."""
+    _check_one_minor_deck(deck)
+    width = deck.n.bit_length()
+    return deck.n, _level(deck.members, width), width
+
+
+def shape_of(deck):
+    """Lemma 3.1's core on ``deck``."""
+    n, level, _ = packed(deck)
+    return _shape(n, set(level.values()))
+
+
+def locate(deck):
+    """Lemma 3.2's core on ``deck``, at the shape Lemma 3.1 recovers."""
+    n, level, width = packed(deck)
+    return _locate(n, shape_of(deck), _reduce(n, level, width)[0])
+
+
+def reduces_to(deck, smaller):
+    """Whether Lemma 3.3's core turns ``deck`` into the level of ``smaller``."""
+    n, level, width = packed(deck)
+    return _reduce(n, level, width)[1] == _level(smaller.members, width)
+
+
+def base_of(deck, shape):
+    """Lemma 3.6's core on ``deck``; None if ``shape`` is not a base shape."""
+    n, level, width = packed(deck)
+    return _base(n, shape, level, width)
+
+
 def test_shape_known_decks():
-    assert reconstruct_shape(deck_of("1 2 / 3 4", "1 2 3 / 4")) == (3, 2)
-    assert reconstruct_shape(deck_of("1 3 / 2", "1 2 / 3")) == (2, 2)
-    assert reconstruct_shape(deck_of("1 2 3 4")) == (5,)
-    assert reconstruct_shape(deck_of("1 / 2 / 3")) == (1, 1, 1, 1)
+    assert shape_of(deck_of("1 2 / 3 4", "1 2 3 / 4")) == (3, 2)
+    assert shape_of(deck_of("1 3 / 2", "1 2 / 3")) == (2, 2)
+    assert shape_of(deck_of("1 2 3 4")) == (5,)
+    assert shape_of(deck_of("1 / 2 / 3")) == (1, 1, 1, 1)
 
 
 def test_shape_exhaustive():
     for n in range(3, 9):
         for t in enumerate_syt_all(n):
-            assert reconstruct_shape(minor_set(t, 1)) == t.shape
+            assert shape_of(minor_set(t, 1)) == t.shape
 
 
 def test_shape_too_small():
-    with pytest.raises(TooSmallError):
-        reconstruct_shape(deck_of("1"))
-    with pytest.raises(TooSmallError):
-        reconstruct_shape(Deck([StandardTableau(())], 1, 1))
+    with pytest.raises(TooSmallError, match="n=2 < 3"):
+        shape_of(deck_of("1"))
+    with pytest.raises(TooSmallError, match="n=1 < 3"):
+        shape_of(Deck([StandardTableau(())], 1, 1))
 
 
 def test_shape_rejects_impossible_decks():
     # no tableau has minors of both of these shapes
     with pytest.raises(NotADeckError):
-        reconstruct_shape(deck_of("1 2 3", "1 / 2 / 3"))
+        shape_of(deck_of("1 2 3", "1 / 2 / 3"))
     # a shared non-rectangle-minus-corner shape has no rectangular source
     with pytest.raises(NotADeckError):
-        reconstruct_shape(deck_of("1 2 3 / 4"))
+        shape_of(deck_of("1 2 3 / 4"))
     with pytest.raises(NotADeckError):
-        reconstruct_shape(Deck([text("1 2")], 2, 4))
+        shape_of(Deck([text("1 2")], 2, 4))
 
 
 def test_locate_known_decks():
-    assert locate_max(deck_of("1 2 / 3 4", "1 2 3 / 4")) == (2, 2)
-    assert locate_max(minor_set(text("1 2 / 3 4"), 1)) == (2, 2)
-    assert locate_max(minor_set(text("1 2 3 5 / 4"), 1)) == (1, 4)
-    assert locate_max(minor_set(text("1 2 3 / 4 / 5"), 1)) == (3, 1)
+    assert locate(deck_of("1 2 / 3 4", "1 2 3 / 4")) == (2, 2)
+    assert locate(minor_set(text("1 2 / 3 4"), 1)) == (2, 2)
+    assert locate(minor_set(text("1 2 3 5 / 4"), 1)) == (1, 4)
+    assert locate(minor_set(text("1 2 3 / 4 / 5"), 1)) == (3, 1)
 
 
 def test_locate_exhaustive():
     for n in range(4, 9):
         for t in enumerate_syt_all(n):
-            assert locate_max(minor_set(t, 1)) == t.cell_of(n)
+            assert locate(minor_set(t, 1)) == t.cell_of(n)
 
 
 def test_locate_too_small():
-    with pytest.raises(TooSmallError):
-        locate_max(deck_of("1 2", "1 / 2"))
-    # the decks of the rows at n = 1, 2 and 3; at n = 1 the shift of n - 1
-    # would be negative, so the size check must come first
+    with pytest.raises(TooSmallError, match="n=3 < 4"):
+        locate(deck_of("1 2", "1 / 2"))
+    # the size check comes before the shape or the tops are read
     for n in (1, 2, 3):
-        with pytest.raises(TooSmallError):
-            locate_max(minor_set(StandardTableau([range(1, n + 1)]), 1))
+        with pytest.raises(TooSmallError, match=f"n={n} < 4"):
+            _locate(n, (n,), [])
+
+
+def test_locate_errors():
+    # (2,1,1)'s corners (1,2) and (3,1) each show n-1 twice
+    twice = [((2, 1), (1, 2)), ((1, 1, 1), (3, 1))] * 2
+    with pytest.raises(NotADeckError, match="two corners each show n-1 twice"):
+        _locate(4, (2, 1, 1), twice)
+    # each of (2,2,1)'s corners is covered by a member whose n-1 is elsewhere
+    covered = [((2, 2), (1, 2)), ((2, 1, 1), (2, 1))]
+    with pytest.raises(
+        NotADeckError, match="every corner is excluded by a smaller entry"
+    ):
+        _locate(5, (2, 2, 1), covered)
 
 
 def test_reduce_known_decks():
-    assert reduce_deck(deck_of("1 2 / 3 4", "1 2 3 / 4")) == deck_of(
-        "1 2 / 3", "1 2 3"
+    assert reduces_to(
+        deck_of("1 2 / 3 4", "1 2 3 / 4"), deck_of("1 2 / 3", "1 2 3")
     )
-    assert reduce_deck(deck_of("1")) == Deck([StandardTableau(())], 1, 1)
-    with pytest.raises(NotADeckError):
-        reduce_deck(minor_set(text("1"), 1))
+    assert reduces_to(deck_of("1"), Deck([StandardTableau(())], 1, 1))
     big = minor_set(text("1 2 4 / 3 5"), 1)
-    assert reduce_deck(big) == minor_set(text("1 2 4 / 3"), 1)
+    assert reduces_to(big, minor_set(text("1 2 4 / 3"), 1))
 
 
 def test_reduce_exhaustive():
     for n in range(2, 9):
         for t in enumerate_syt_all(n):
-            assert reduce_deck(minor_set(t, 1)) == minor_set(
-                delete_entry(t, n), 1
-            )
+            assert reduces_to(minor_set(t, 1), minor_set(delete_entry(t, n), 1))
 
 
 def test_base_row_and_column():
-    assert reconstruct_base(deck_of("1 2 3 4"), (5,)) == text("1 2 3 4 5")
-    assert reconstruct_base(deck_of("1 / 2 / 3"), (1, 1, 1, 1)) == text(
+    assert base_of(deck_of("1 2 3 4"), (5,)) == text("1 2 3 4 5")
+    assert base_of(deck_of("1 / 2 / 3"), (1, 1, 1, 1)) == text(
         "1 / 2 / 3 / 4"
     )
 
 
 def test_base_row_plus_cell():
     deck = minor_set(text("1 2 3 5 / 4"), 1)
-    assert reconstruct_base(deck, (4, 1)) == text("1 2 3 5 / 4")
+    assert base_of(deck, (4, 1)) == text("1 2 3 5 / 4")
     # largest entry in the second row
     deck = minor_set(text("1 2 3 4 / 5"), 1)
-    assert reconstruct_base(deck, (4, 1)) == text("1 2 3 4 / 5")
+    assert base_of(deck, (4, 1)) == text("1 2 3 4 / 5")
     # transposed case
     deck = minor_set(text("1 4 / 2 / 3 / 5"), 1)
-    assert reconstruct_base(deck, (2, 1, 1, 1)) == text("1 4 / 2 / 3 / 5")
+    assert base_of(deck, (2, 1, 1, 1)) == text("1 4 / 2 / 3 / 5")
 
 
 def test_base_32_and_transpose_table():
     for t in enumerate_syt((3, 2)):
-        assert reconstruct_base(minor_set(t, 1), (3, 2)) == t
+        assert base_of(minor_set(t, 1), (3, 2)) == t
     for t in enumerate_syt((2, 2, 1)):
-        assert reconstruct_base(minor_set(t, 1), (2, 2, 1)) == t
+        assert base_of(minor_set(t, 1), (2, 2, 1)) == t
 
 
 def test_base_errors():
-    with pytest.raises(UnsupportedShapeError):
-        reconstruct_base(minor_set(text("1 2 3 / 4 / 5"), 1), (3, 1, 1))
-    with pytest.raises(NoMatchError):
-        reconstruct_base(deck_of("1 2 / 3 4", n=5), (3, 2))
+    assert base_of(minor_set(text("1 2 3 / 4 / 5"), 1), (3, 1, 1)) is None
+    table = "deck matches none of the five shape-\\(3,2\\) decks"
+    with pytest.raises(NoMatchError, match=table):
+        base_of(deck_of("1 2 / 3 4", n=5), (3, 2))
     # packed row words of size-6 members that spell the deck of 1 2 3 / 4 5
+    with pytest.raises(NoMatchError, match=table):
+        base_of(deck_of("1 2 5 / 3 4", "1 2 3 5 / 4"), (3, 2))
     with pytest.raises(NoMatchError):
-        reconstruct_base(deck_of("1 2 5 / 3 4", "1 2 3 5 / 4"), (3, 2))
-    with pytest.raises(NoMatchError):
-        reconstruct_base(deck_of("1 2 3 4", n=5), (4, 1))
+        base_of(deck_of("1 2 3 4", n=5), (4, 1))
     with pytest.raises(NotADeckError):
-        reconstruct_base(Deck([text("1 2")], 2, 4), (4,))
-
-
-def test_base_rejects_a_shape_that_is_not_the_decks():
-    deck = minor_set(text("1 3 5 / 2 4"), 1)
-    assert reconstruct_base(deck, (3, 2)) == text("1 3 5 / 2 4")
-    for shape in ((5,), (1,) * 5, (4, 1), (2, 1, 1, 1)):
-        with pytest.raises(NoMatchError):
-            reconstruct_base(deck, shape)
+        base_of(Deck([text("1 2")], 2, 4), (4,))
 
 
 def test_hook_errors_name_the_second_line():
@@ -179,7 +213,7 @@ def test_hook_errors_name_the_second_line():
         (deck_of("1 / 2 / 3 / 4", n=5), (2, 1, 1, 1), "column"),
     ):
         reason = f"no member shows a second-{line} entry"
-        for base in (reconstruct_base, reference_base):
+        for base in (base_of, reference_base):
             with pytest.raises(NoMatchError) as caught:
                 base(deck, shape)
             assert str(caught.value) == reason
@@ -293,12 +327,12 @@ def test_unique_outcomes_are_sound():
 
 
 def test_reduce_deck_matches_delete_entry():
-    # reduce_deck drops the cell of n-1; a full jeu-de-taquin deletion
-    # is the reference
+    # _reduce drops the cell of n-1; a full jeu-de-taquin deletion is the
+    # reference
     for n in range(1, 9):
         for u in enumerate_syt_all(n):
-            assert reduce_deck(Deck([u], 1, u.n + 1)) == Deck(
-                [delete_entry(u, u.n)], 1, u.n
+            assert reduces_to(
+                Deck([u], 1, u.n + 1), Deck([delete_entry(u, u.n)], 1, u.n)
             )
 
 
@@ -308,8 +342,8 @@ def test_unchecked_tableaux_pass_validation():
         for t in enumerate_syt_all(n):
             built = [t, t.transpose()]
             built.extend(delete_entry(t, m) for m in range(1, n + 1))
-            if n >= 2:
-                built.extend(reduce_deck(minor_set(t, 1)))
+            if n >= 1 and (base := base_of(minor_set(t, 1), t.shape)) is not None:
+                built.append(base)
             if n >= 5:
                 built.append(reconstruct_from_set(minor_set(t, 1)).tableau)
             for x in built:
@@ -378,7 +412,7 @@ def reference_base(deck, shape, line="row"):
             ) from None
     if shape == (2, 2, 1):
         return reference_base(transpose(deck), (3, 2)).transpose()
-    raise UnsupportedShapeError(f"{shape} is not a base shape")
+    return None
 
 
 def base_shapes(n):
@@ -399,13 +433,26 @@ def outcome_of(f, *args):
         return type(exc), str(exc)
 
 
+RECHECK = "reconstructed candidate has a different deck"
+
+
+def checked_base(deck, shape):
+    """Lemma 3.6's core behind the loop's re-check of its result: the
+    result's 1-minor words, from the recurrence, must be the level's."""
+    n, level, width = packed(deck)
+    t = _base(n, shape, level, width)
+    if t is not None and set(_minor_words(t, width)) != set(level):
+        raise NotADeckError(RECHECK)
+    return t
+
+
 def checked_reference_base(deck, shape):
-    """reference_base behind reconstruct_base's input check, raising
-    NoMatchError for a tableau whose deck is not ``deck``."""
+    """reference_base behind the loop's input check and a re-check of its
+    result by jeu-de-taquin deletion."""
     _check_one_minor_deck(deck)
     t = reference_base(deck, shape)
-    if minor_set(t, 1) != deck:
-        raise NoMatchError(f"no tableau of shape {shape} has this deck")
+    if t is not None and minor_set(t, 1) != deck:
+        raise NotADeckError(RECHECK)
     return t
 
 
@@ -421,10 +468,10 @@ def test_base_matches_deck_reference_on_perturbed_decks():
             if len(m.shape) <= 2 or m.shape[0] <= 2
         ]
         for t, deck in decks.items():
-            assert reconstruct_base(deck, t.shape) == t
+            assert checked_base(deck, t.shape) == t
             # the genuine deck against every base shape and one other shape
             for shape in base_shapes(n) + [(n, 1)]:
-                assert outcome_of(reconstruct_base, deck, shape) == outcome_of(
+                assert outcome_of(checked_base, deck, shape) == outcome_of(
                     checked_reference_base, deck, shape
                 ), (t.to_text(), shape)
             variants = [
@@ -435,7 +482,7 @@ def test_base_matches_deck_reference_on_perturbed_decks():
                 Deck(deck.members + (m,), 1, n) for m in pool if m not in deck
             ]
             for d in variants:
-                got = outcome_of(reconstruct_base, d, t.shape)
+                got = outcome_of(checked_base, d, t.shape)
                 assert got == outcome_of(checked_reference_base, d, t.shape), (
                     t.to_text(),
                     d.to_text(),
@@ -445,16 +492,15 @@ def test_base_matches_deck_reference_on_perturbed_decks():
 
 
 def reference_inductive(deck):
-    """The recursive pipeline, from the public lemma functions and the
-    Deck-based Lemma 3.6, with deck reduction by full jeu-de-taquin
+    """The recursive pipeline on Decks: Lemmas 3.1 and 3.2 by their cores,
+    the Deck-based Lemma 3.6, and deck reduction by full jeu-de-taquin
     deletion."""
-    shape = reconstruct_shape(deck)
-    try:
-        return reference_base(deck, shape)
-    except UnsupportedShapeError:
-        pass
-    n = deck.n
-    r, c = locate_max(deck)
+    n, level, width = packed(deck)
+    shape = _shape(n, set(level.values()))
+    base = reference_base(deck, shape)
+    if base is not None:
+        return base
+    r, c = _locate(n, shape, _reduce(n, level, width)[0])
     reduced = Deck((delete_entry(m, n - 1) for m in deck), 1, n - 1)
     rows = [list(row) for row in reference_inductive(reduced).rows]
     if r == len(rows) + 1 and c == 1:
