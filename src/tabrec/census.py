@@ -409,45 +409,60 @@ def _levels(tableaux):
         yield t, _level(minor_set(t, 1).members, width), width
 
 
+def _suite(tableaux, check) -> list[str]:
+    """The violations check(t, level, width) yields for each tableau, a
+    TableauError raised for one being a violation that names it."""
+    violations = []
+    for t, level, width in _levels(tableaux):
+        try:
+            violations.extend(check(t, level, width))
+        except TableauError as exc:
+            violations.append(f"{t.to_text()!r} raised {exc}")
+    return violations
+
+
 def suite_shape_recovery(max_n: int) -> list[str]:
     """Shape recovered from the deck matches the true shape, n = 3..max_n."""
-    return [
-        f"shape of {t.to_text()!r}: got {got}, want {t.shape}"
-        for t, level, _ in _levels(_walk(3, max_n))
-        if (got := _shape(t.n, set(level.values()))) != t.shape
-    ]
+
+    def check(t, level, _):
+        if (got := _shape(t.n, set(level.values()))) != t.shape:
+            yield f"shape of {t.to_text()!r}: got {got}, want {t.shape}"
+
+    return _suite(_walk(3, max_n), check)
 
 
 def suite_max_location(max_n: int) -> list[str]:
     """Located cell of n matches the true cell, n = 4..max_n."""
-    return [
-        f"location of {t.n} in {t.to_text()!r}: got {got}, want {want}"
-        for t, level, width in _levels(_walk(4, max_n))
-        if (got := _locate(t.n, t.shape, _reduce(t.n, level, width)[0]))
-        != (want := t.cell_of(t.n))
-    ]
+
+    def check(t, level, width):
+        got = _locate(t.n, t.shape, _reduce(t.n, level, width)[0])
+        if got != (want := t.cell_of(t.n)):
+            yield f"location of {t.n} in {t.to_text()!r}: got {got}, want {want}"
+
+    return _suite(_walk(4, max_n), check)
 
 
 def suite_deck_reduction(max_n: int) -> list[str]:
     """Reduced deck equals the deck of T - n, and the double-deletion
     identity (T - (n-1)) - (n-1) = (T - n) - (n-1) holds, n = 2..max_n."""
-    violations = []
-    for t, level, width in _levels(_walk(2, max_n)):
+
+    def check(t, level, width):
         n = t.n
         direct = _level(minor_set(delete_entry(t, n), 1).members, width)
         if _reduce(n, level, width)[1] != direct:
-            violations.append(
+            yield (
                 f"reduced deck of {t.to_text()!r} differs from the deck "
                 f"of its (n-1)-entry minor"
             )
         via_penultimate = delete_entry(delete_entry(t, n - 1), n - 1)
         via_last = delete_entry(delete_entry(t, n), n - 1)
         if via_penultimate != via_last:
-            violations.append(
+            yield (
                 f"double deletion from {t.to_text()!r} depends on the "
                 f"order of removing the top two entries"
             )
-    return violations
+
+    return _suite(_walk(2, max_n), check)
 
 
 def suite_base_decks(max_n: int) -> list[str]:
@@ -455,18 +470,20 @@ def suite_base_decks(max_n: int) -> list[str]:
     transpose for n >= 4, (3,2) or (2,2,1) - with n <= max_n entries comes
     back from its deck through Lemma 3.6's core."""
     _check_cap(max_n)
-    violations = []
+    shapes = []
     for n in range(1, max_n + 1):
-        shapes = {(n,), (1,) * n}
+        here = {(n,), (1,) * n}
         if n >= 4:
-            shapes |= {(n - 1, 1), (2,) + (1,) * (n - 2)}
+            here |= {(n - 1, 1), (2,) + (1,) * (n - 2)}
         if n == 5:
-            shapes |= {(3, 2), (2, 2, 1)}
-        for shape in sorted(shapes, reverse=True):
-            for t, level, width in _levels(enumerate_syt(shape)):
-                if _base(n, shape, level, width) != t:
-                    violations.append(f"base reconstruction of {t.to_text()!r} failed")
-    return violations
+            here |= {(3, 2), (2, 2, 1)}
+        shapes += sorted(here, reverse=True)
+
+    def check(t, level, width):
+        if _base(t.n, t.shape, level, width) != t:
+            yield f"base reconstruction of {t.to_text()!r} failed"
+
+    return _suite(chain.from_iterable(map(enumerate_syt, shapes)), check)
 
 
 def suite_round_trip(max_n: int) -> list[str]:

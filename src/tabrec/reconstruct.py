@@ -6,16 +6,18 @@ cell of the largest entry n (3.2, _locate), the deck of T - n (3.3,
 _reduce), and the shapes decided directly (3.6, _base): rows, columns,
 hooks and their transposes, (3,2) and (2,2,1).  The loop reduces level
 by level down to a base shape, then puts each level's n back at its
-located cell.  A level maps each member's packed row word (as in
-taquin._add) to its shape, so no level is decoded into tableaux.  The
-candidate is re-checked by comparing its 1-minors' words, from the
-slide-free recurrence, with the input's.  The pipeline is complete for
-n >= 5; for n <= 4 exhaustive search gives a total answer (Unique,
-Ambiguous with all candidates, or Invalid).
+located cell, but stops early once a lone member of T - n's shape
+passes the re-check with the located n's put back.  A level maps each
+member's packed row word (as in taquin._add) to its shape, so no level
+is decoded into tableaux.  The candidate is re-checked by comparing its
+1-minors' words, from the slide-free recurrence, with the input's.  The
+pipeline is complete for n >= 5; for n <= 4 exhaustive search gives a
+total answer (Unique, Ambiguous with all candidates, or Invalid).
 """
 
 import functools
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -239,11 +241,14 @@ def _reconstruct_inductive(deck: Deck | DeckMultiset) -> StandardTableau:
     """Pipeline of shape recovery, max location and level reduction.
 
     Reduces the level down to a base shape, then inserts each level's n
-    at its located cell, innermost first.  The candidate's 1-minors, as
-    words packed at one width, must then be the members' words; a
-    multiset runs on its support, and its multiplicities are re-checked
-    too.  Never falls back to exhaustive search, so a deck that is not a
-    genuine 1-minor set surfaces as an error somewhere along the way.
+    at its located cell, innermost first; but at the first level where
+    one member alone has T - n's shape, that member with the located n's
+    put back is tried once, and kept if it passes the re-check.  The
+    candidate's 1-minors, as words packed at one width, must be the
+    members' words; a multiset runs on its support, and its
+    multiplicities are re-checked too.  Never falls back to exhaustive
+    search, so a deck that is not a genuine 1-minor set surfaces as an
+    error somewhere along the way.
     """
     _check_one_minor_deck(deck)
     cards = deck.cards if isinstance(deck, DeckMultiset) else ()
@@ -255,13 +260,30 @@ def _reconstruct_inductive(deck: Deck | DeckMultiset) -> StandardTableau:
     # at most len(shape) < 2**width
     width = len(shape).bit_length()
     words = level = _level(members, width)
-    cells = []
+    cells, lone = [], None
     while (base := _base(n, shape, level, width)) is None:
         tops, reduced = _reduce(n, level, width)
         cells.append(_locate(n, shape, tops))
+        if lone is None and (lone := _lone(shape, cells[-1], level)) is not None:
+            with suppress(NotADeckError):  # one try per deck, one extra re-check
+                candidate = _insert(_tableau_of(lone, n - 1, width), cells)
+                return _recheck(candidate, words, cards, width)
         level, n = reduced, n - 1
         shape = _shape(n, set(level.values()))
-    rows = [list(row) for row in base.rows]
+    return _recheck(_insert(base, cells), words, cards, width)
+
+
+def _lone(shape: Partition, cell: Cell, level: dict):
+    """Word of the lone member of ``level`` shaped ``shape`` less ``cell``, or None."""
+    r, c = cell
+    rest = shape[:r - 1] + (c - 1,) + shape[r:] if c > 1 else shape[:r - 1]
+    found = [word for word, s in level.items() if s == rest]
+    return found[0] if len(found) == 1 else None
+
+
+def _insert(tableau: StandardTableau, cells) -> StandardTableau:
+    """``tableau`` with the next entries put at ``cells``, last cell first."""
+    rows, n = [list(row) for row in tableau.rows], tableau.n
     for cell in reversed(cells):
         r, c = cell
         n += 1
@@ -273,7 +295,11 @@ def _reconstruct_inductive(deck: Deck | DeckMultiset) -> StandardTableau:
             raise NotADeckError(
                 f"cell {cell} is not addable to shape {tuple(map(len, rows))}"
             )
-    candidate = StandardTableau._make(rows)
+    return StandardTableau._make(rows)
+
+
+def _recheck(candidate: StandardTableau, words: dict, cards, width: int):
+    """``candidate``, if its 1-minors' words match ``words`` and ``cards``."""
     minors = _minor_words(candidate, width)
     if set(minors) != set(words):
         raise NotADeckError("reconstructed candidate has a different deck")

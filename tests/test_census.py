@@ -36,6 +36,7 @@ from tabrec.taquin import (
     _tableau_of,
     Deck,
     DeckMultiset,
+    NotADeckError,
     OutOfRangeError,
     delete_entry,
     minor_multiset,
@@ -439,6 +440,34 @@ def test_suites_report_wrong_answers(
     violations = VERIFY_SUITES[suite](5)
     assert len(violations) == count
     assert violations[0] == violation
+
+
+@pytest.mark.parametrize(
+    "suite, name, count",
+    [("lemma3.1", "_shape", 40), ("lemma3.2", "_locate", 36),
+     ("lemma3.3", "_reduce", 42), ("lemma3.6", "_base", 33)],
+)
+def test_suites_name_the_tableau_a_core_raises_on(monkeypatch, suite, name, count):
+    real_levels, real_core = census_module._levels, getattr(census_module, name)
+    seen, calls = [], []
+
+    def levels(tableaux):
+        for item in real_levels(tableaux):
+            seen.append(item[0])
+            yield item
+
+    def core(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise NotADeckError("boom")
+        return real_core(*args)
+
+    monkeypatch.setattr(census_module, "_levels", levels)
+    monkeypatch.setattr(census_module, name, core)
+    violations = VERIFY_SUITES[suite](5)
+    assert violations == [f"{seen[2].to_text()!r} raised boom"]
+    # the suite went on past the raise, to every tableau of its walk
+    assert len(seen) == len(calls) == count
 
 
 def test_differential_check_reports_disagreements(monkeypatch):

@@ -9,6 +9,7 @@ stage against every tableau of small sizes, leaving the largest sizes to
 the acceptance suite.
 """
 
+import importlib
 import random
 
 import pytest
@@ -665,3 +666,97 @@ def test_random_round_trips_and_perturbations_match_reference():
             )
             if n <= REFERENCE_MAX_N:
                 assert outcome == reference_from_multiset(m), t.to_text()
+
+
+reconstruct_module = importlib.import_module("tabrec.reconstruct")
+
+
+def one_off_decks(t, other):
+    """(reconstruction, deck) for the deck and multiset of ``t``, and for
+    each with one member dropped or the first member of ``other``'s deck
+    not in it added (a multiset keeps n cards: a dropped member's copies go
+    to another, and the foreign card replaces a copy)."""
+    n, deck, counts = t.n, minor_set(t, 1), dict(minor_multiset(t, 1).cards)
+    foreign = [m for m in minor_set(other, 1) if m not in deck][:1]
+    sets = [deck] + [Deck(deck.members + (m,), 1, n) for m in foreign]
+    sets += [
+        Deck(deck.members[:j] + deck.members[j + 1:], 1, n)
+        for j in range(len(deck))
+        if len(deck) > 1
+    ]
+    multisets = [DeckMultiset(counts.items(), 1, n)]
+    for dropped in counts:
+        rest = dict(counts)
+        if len(rest) > 1:
+            copies = rest.pop(dropped)
+            rest[next(iter(rest))] += copies
+            multisets.append(DeckMultiset(rest.items(), 1, n))
+    for m in foreign:
+        plus = dict(counts)
+        plus[next(iter(plus))] -= 1
+        plus[m] = 1
+        multisets.append(DeckMultiset(((c, k) for c, k in plus.items() if k), 1, n))
+    return [(reconstruct_from_set, d) for d in sets] + [
+        (reconstruct_from_multiset, m) for m in multisets
+    ]
+
+
+def test_lone_member_shortcut_matches_the_full_loop(monkeypatch):
+    decks = []
+    for n in range(5, 9):
+        tableaux = list(enumerate_syt_all(n))
+        for i, t in enumerate(tableaux):
+            decks += one_off_decks(t, tableaux[(i + 1) % len(tableaux)])
+    fast = [run(d) for run, d in decks]
+    assert any(isinstance(o, Invalid) for o in fast)
+    monkeypatch.setattr(reconstruct_module, "_lone", lambda *args: None)
+    assert [run(d) for run, d in decks] == fast
+
+
+def test_lone_member_exits_at_the_top_deeper_and_at_base_shapes(monkeypatch):
+    real_lone, real_recheck = reconstruct_module._lone, reconstruct_module._recheck
+    calls, rechecks = [], []
+
+    def lone(*args):
+        calls.append(real_lone(*args))
+        return calls[-1]
+
+    def recheck(*args):
+        rechecks.append(args)
+        return real_recheck(*args)
+
+    monkeypatch.setattr(reconstruct_module, "_lone", lone)
+    monkeypatch.setattr(reconstruct_module, "_recheck", recheck)
+    exits = set()
+    for t in list(enumerate_syt_all(10))[::5]:
+        calls.clear()
+        rechecks.clear()
+        assert reconstruct_from_set(minor_set(t, 1)) == Unique(t)
+        # a genuine deck's lone member is T - n, so its one attempt returns
+        assert len(rechecks) == 1
+        assert all(word is None for word in calls[:-1])
+        found = bool(calls) and calls[-1] is not None
+        exits.add("base" if not found else "top" if len(calls) == 1 else "deeper")
+    assert exits == {"top", "deeper", "base"}
+
+
+def test_invalid_deck_rechecks_at_most_twice(monkeypatch):
+    for shape in ((3, 2), (2, 2, 1)):  # warm the cached base decks
+        for width in range(1, 5):
+            reconstruct_module._base_table(shape, width)
+    real = reconstruct_module._minor_words
+    calls = []
+
+    def minor_words(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(reconstruct_module, "_minor_words", minor_words)
+    most = 0
+    tableaux = list(enumerate_syt_all(10))[::40]
+    for i, t in enumerate(tableaux):
+        for run, d in one_off_decks(t, tableaux[i - 1]):
+            calls.clear()
+            if isinstance(run(d), Invalid):
+                most = max(most, len(calls))
+    assert most == 2
