@@ -12,7 +12,6 @@ determining submultiset of 1-minors, and a differential check that
 replays the constructive reconstruction against the census grouping.
 """
 
-import json
 import os
 import time
 from collections import Counter
@@ -100,6 +99,9 @@ class CensusReport:
     def to_json(self) -> str:
         classes = [[t.to_text() for t in cls] for cls in self.classes]
         fields = dict(n=self.n, k=self.k, mode=self.mode, total=self.total)
+        # imported here: only --json needs it, and every CLI start would pay
+        import json
+
         return json.dumps({**fields, "classes": classes})
 
 

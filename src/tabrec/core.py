@@ -11,9 +11,9 @@ Conventions used throughout the package:
 """
 
 from collections import Counter
-from itertools import chain
+from itertools import chain, repeat
 from math import fsum, lgamma, log, prod
-from operator import lt
+from operator import ge, itemgetter, lt
 from typing import Iterable, Iterator
 
 
@@ -183,6 +183,43 @@ class StandardTableau:
 
     def __repr__(self) -> str:
         return f"StandardTableau({self.to_text()!r})"
+
+
+class _RowMemo(dict):
+    """Row text to row tuple, for the member lines of one deck, which
+    share most of their rows.  A text that is not a strictly increasing
+    row of integers raises ValueError and is not kept."""
+
+    def __missing__(self, text: str) -> tuple[int, ...]:
+        row = tuple(map(int, text.split()))
+        if not all(map(lt, row, row[1:])):
+            raise ValueError(text)
+        self[text] = row
+        return row
+
+    def tableau(self, text: str) -> StandardTableau:
+        """``StandardTableau.from_text(text)`` with the rows read through
+        the memo, so only the checks that span rows run per text.  A text
+        these refuse is read again by ``from_text``, which raises its own
+        error or accepts it (the empty tableau)."""
+        try:
+            rows = tuple(map(self.__getitem__, text.split("/")))
+        except ValueError:
+            return StandardTableau.from_text(text)
+        shape = tuple(map(len, rows))
+        n = sum(shape)
+        if (
+            shape[-1]
+            and all(map(ge, shape, shape[1:]))
+            # each row against the row below it, cell by cell
+            and all(map(all, map(map, repeat(lt), rows, rows[1:])))
+            # so rows[0][0] is the least entry and a row's last the greatest
+            and rows[0][0] >= 1
+            and max(map(itemgetter(-1), rows)) <= n
+            and len(set(chain.from_iterable(rows))) == n
+        ):
+            return StandardTableau._make(rows)
+        return StandardTableau.from_text(text)
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:

@@ -17,6 +17,7 @@ from .core import (
     ResourceLimitError,
     StandardTableau,
     TableauError,
+    _RowMemo,
 )
 
 
@@ -297,7 +298,8 @@ def _parse_deck_lines(text: str, multiset: bool):
     """Parse a deck header plus member lines; shared by both formats.
 
     Member lines may be empty (the empty tableau), so lines are split
-    verbatim; one trailing newline beyond the member count is tolerated.
+    verbatim; one trailing newline beyond the member count is tolerated,
+    and so is trailing whitespace on a line, such as a CRLF line end.
     """
     if not text.strip():
         raise NotADeckError("empty deck text")
@@ -319,18 +321,21 @@ def _parse_deck_lines(text: str, multiset: bool):
         raise NotADeckError(
             f"header says size={size} but {len(body)} member lines follow"
         )
+    read = _RowMemo().tableau
     if not multiset:
-        return k, n, [StandardTableau.from_text(line) for line in body]
+        return k, n, list(map(read, body))
     cards = []
     for line in body:
-        member_text, sep, mult_text = line.rpartition(" x")
+        # trailing whitespace (a CRLF line end) goes; a leading space
+        # stays, since " x1" is the empty tableau's card
+        member_text, sep, mult_text = line.rstrip().rpartition(" x")
         try:
             if not sep or not mult_text.isdecimal():
                 raise ValueError(mult_text)
             mult = int(mult_text)  # fails past int()'s digit limit too
         except ValueError:
             raise NotADeckError(f"missing multiplicity suffix in {line!r}") from None
-        cards.append((StandardTableau.from_text(member_text), mult))
+        cards.append((read(member_text), mult))
     return k, n, cards
 
 

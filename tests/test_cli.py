@@ -143,6 +143,18 @@ def test_reconstruct_multiset_splits_set_ambiguity(capsys, monkeypatch):
     assert out == "unique 1 2 / 3\n"
 
 
+@pytest.mark.parametrize("end", ["\r", " ", "\t "])
+def test_reconstruct_reads_lines_with_trailing_whitespace(capsys, monkeypatch, end):
+    # CRLF line ends, or spaces after a member, in both modes; the empty
+    # tableau's card " x1" keeps its leading space
+    t = StandardTableau.from_text("1 3 4 / 2 5")
+    for deck, extra in ((minor_set(t), []), (minor_multiset(t), ["--multiset"])):
+        feed(monkeypatch, deck.to_text().replace("\n", end + "\n") + end + "\n")
+        assert invoke(capsys, "reconstruct", *extra) == (0, "unique 1 3 4 / 2 5\n", "")
+    feed(monkeypatch, f"deck k=1 n=1 size=1{end}\n x1{end}\n")
+    assert invoke(capsys, "reconstruct", "--multiset") == (0, "unique 1\n", "")
+
+
 def test_reconstruct_invalid_deck_text(capsys, monkeypatch):
     feed(monkeypatch, "not a deck\n")
     status, _, err = invoke(capsys, "reconstruct")

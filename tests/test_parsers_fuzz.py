@@ -11,12 +11,16 @@ so that most inputs get past the first check.  The tableau constructor
 is also run on the rows of real tableaux with defects added, against a
 reference copy of its checks written as per-entry generators: it must
 accept the same rows, and reject the rest with the same error class and
-message.  Runs are derandomized with a fixed example count, so the
-suite is repeatable and fast; the module is skipped when hypothesis is
-not installed.
+message.  The deck readers, which read rows through a memo shared by a
+deck's members, are run likewise on perturbed decks against reading
+each member line with ``StandardTableau.from_text``.  Runs are
+derandomized with a fixed example count, so the suite is repeatable and
+fast; the module is skipped when hypothesis is not installed.
 """
 
+import random
 from itertools import chain
+from unittest import mock
 
 import pytest
 
@@ -29,6 +33,7 @@ from tabrec.core import (
     OrderError,
     StandardTableau,
     TableauError,
+    _RowMemo,
     check_partition,
     enumerate_syt_all,
 )
@@ -200,3 +205,116 @@ def test_validation_matches_generator_reference(rows):
         assert str(got.value) == str(want)
     else:
         assert StandardTableau(rows).rows == tuple(map(tuple, rows))
+
+
+def grow(rows, choose):
+    """Add the next entry to the rows, at the corner ``choose`` picks
+    from the rows it may end (a new row last)."""
+    addable = [
+        r for r in range(len(rows) + 1)
+        if r in (0, len(rows)) or len(rows[r]) < len(rows[r - 1])
+    ]
+    r = choose(addable)
+    if r == len(rows):
+        rows.append([])
+    rows[r].append(sum(map(len, rows)) + 1)
+
+
+@st.composite
+def grown_tableaux(draw):
+    rows = []
+    for _ in range(draw(st.integers(0, 14))):
+        grow(rows, lambda addable: draw(st.sampled_from(addable)))
+    return StandardTableau(rows)
+
+
+LINE_DEFECTS = (
+    "swap_row", "swap_column", "non_integer", "empty_row", "whitespace",
+    "line_end", "bump", "repeated_bad_row",
+)
+SPACES = (" ", "\t", "\r", "  ", "\u2003")
+
+
+@st.composite
+def perturbed_deck_texts(draw):
+    """The text of a set or multiset deck of a random tableau, with up to
+    four defects put into its member lines; returns (multiset, text)."""
+    t = draw(grown_tableaux())
+    multiset = draw(st.booleans())
+    k = min(draw(st.sampled_from([1, 1, 1, 0, 2])), t.n)
+    deck = (minor_multiset if multiset else minor_set)(t, k)
+    header, *lines = deck.to_text().split("\n")
+    # a member line as its rows of entry texts, plus the " x<k>" suffix
+    members, ends = [], []
+    for line in lines:
+        member, sep, mult = line.rpartition(" x") if multiset else (line, "", "")
+        members.append([row.split() for row in member.split(" / ") if row])
+        ends.append(sep + mult)
+    for _ in range(draw(st.integers(0, 4))):
+        filled = [at for at, rows in enumerate(members) if rows]
+        if not filled:
+            break
+        at = draw(st.sampled_from(filled))
+        rows = members[at]
+        i = draw(st.sampled_from([i for i, row in enumerate(rows) if row]))
+        j = draw(st.integers(0, len(rows[i]) - 1))
+        below = [b for b in range(i + 1, len(rows)) if j < len(rows[b])]
+        defect = draw(st.sampled_from(LINE_DEFECTS))
+        if defect == "swap_row":
+            m = draw(st.integers(0, len(rows[i]) - 1))
+            rows[i][j], rows[i][m] = rows[i][m], rows[i][j]
+        elif defect == "swap_column" and below:
+            b = draw(st.sampled_from(below))
+            rows[i][j], rows[b][j] = rows[b][j], rows[i][j]
+        elif defect == "non_integer":
+            rows[i][j] = draw(st.sampled_from(["x", "1.5", "²", "-", "٣", "+2", "1_0"]))
+        elif defect == "empty_row":
+            rows.insert(draw(st.integers(0, len(rows))), [])
+        elif defect == "whitespace":
+            space, entry = draw(st.sampled_from(SPACES)), rows[i][j]
+            rows[i][j] = draw(st.sampled_from([space + entry, entry + space]))
+        elif defect == "line_end":
+            ends[at] += draw(st.sampled_from(SPACES))
+        elif defect == "bump" and rows[i][j].strip().isdecimal():
+            rows[i][j] = str(int(rows[i][j]) + draw(st.integers(-2, 2)))
+        elif defect == "repeated_bad_row":
+            good = list(rows[i])
+            bad = good[::-1] if len(good) > 1 else ["0"]
+            for other in members:
+                other[:] = [bad if row == good else row for row in other]
+    body = [
+        " / ".join(" ".join(row) for row in rows) + end
+        for rows, end in zip(members, ends)
+    ]
+    return multiset, "\n".join([header, *body])
+
+
+def read_deck(cls, text):
+    try:
+        return cls.from_text(text)
+    except TableauError as exc:
+        return type(exc), str(exc)
+
+
+@settings(FUZZ, max_examples=600)
+@given(perturbed_deck_texts())
+def test_deck_readers_match_reading_each_line(case):
+    multiset, text = case
+    cls = DeckMultiset if multiset else Deck
+    got = read_deck(cls, text)
+    each_line = lambda memo, line: StandardTableau.from_text(line)
+    with mock.patch.object(_RowMemo, "tableau", each_line):
+        assert got == read_deck(cls, text)
+
+
+def test_deck_text_members_share_rows():
+    rows, rng = [], random.Random(300)
+    for _ in range(300):
+        grow(rows, rng.choice)
+    t = StandardTableau(rows)
+    for deck in (
+        Deck.from_text(minor_set(t).to_text()),
+        DeckMultiset.from_text(minor_multiset(t).to_text()).support(),
+    ):
+        member_rows = [row for member in deck for row in member.rows]
+        assert len({id(row) for row in member_rows}) * 5 < len(member_rows)
