@@ -2,11 +2,13 @@
 
 Exhaustive censuses group every size-n tableau by a canonical encoding
 of its deck, so collision classes (distinct tableaux sharing a deck) are
-read off by exact key equality instead of pairwise comparison.  For
-1-minors the key is the sorted tuple of the minors' packed row words
-(the row of entry v in bits 4(v-1)..4v-1), carried down one depth-first
-walk of the add-a-corner tree of all tableaux without a single slide;
-census shards the walk by subtree, and decodes only colliding tableaux.
+read off by exact key equality instead of pairwise comparison.  The
+key is the sorted k-minors' packed row words (the row of entry v in
+bits 4(v-1)..4v-1), with counts in multiset mode.  One depth-first walk
+of the add-a-corner tree gives every tableau's 1-minor words without a
+slide, and as the k-minors of T are the 1-minors of its (k-1)-minors,
+the walk's tables at smaller sizes give the rest by lookup.  census
+shards the walk by subtree, and decodes only colliding tableaux.
 On top of the census sit the bound experiments for the smallest
 determining submultiset of 1-minors, and a differential check that
 replays the constructive reconstruction against the census grouping.
@@ -197,17 +199,32 @@ def _shards(n: int):
     return list(_nodes(min(_SHARD_DEPTH, n - 1)))
 
 
-def _census_shard(node, n, k, mode):
+def _census_shard(node, n, k, mode, tables):
     """(deck key, word) for each size-n tableau below ``node``; runs in
-    workers.  At k = 1 the key is the sorted tuple of the minors' words,
-    as a set in set mode; at k >= 2 it is the Deck or DeckMultiset."""
+    workers.  The key is the sorted words of the k-minors, paired with
+    their counts in multiset mode.  At k = 1 the walk gives the minor
+    words.  At k >= 2 a level maps each minor's word to its number of
+    deletion sequences, and tables[j] maps each size n - 1 - j tableau's
+    word to its 1-minor words, so the next level takes no slide."""
     walk = _deck_walk(n, node)
     if k == 1:
         if mode == "set":
             return [(tuple(sorted(set(m))), word) for word, m in walk]
         return [(tuple(sorted(m)), word) for word, m in walk]
-    minors = minor_set if mode == "set" else minor_multiset
-    return [(minors(_tableau_of(w, n, _WIDTH), k), w) for w, _ in walk]
+    keys = []
+    for word, minors in walk:
+        level = Counter(minors)
+        for table in tables:
+            below: dict[int, int] = {}
+            for w, count in level.items():
+                for m in table[w]:
+                    below[m] = below.get(m, 0) + count
+            level = below
+        if mode == "set":
+            keys.append((tuple(sorted(level)), word))
+        else:  # the sorted (word, count) pairs, flat: a pair tuple costs 64 bytes
+            keys.append((tuple(chain.from_iterable(sorted(level.items()))), word))
+    return keys
 
 
 def census(n: int, k: int = 1, mode: str = "set", jobs: int = 1) -> CensusReport:
@@ -215,8 +232,8 @@ def census(n: int, k: int = 1, mode: str = "set", jobs: int = 1) -> CensusReport
 
     The shards, the subtrees below the tableaux of size min(_SHARD_DEPTH,
     n - 1), are spread across ``jobs`` processes (at most one per shard
-    and CPU); the merge sorts classes by key and members canonically, so
-    the report is identical for any worker count.
+    and CPU); the merge sorts classes by deck text and members
+    canonically, so the report is identical for any worker count.
     """
     if n < 1:
         raise OutOfRangeError(f"census needs n >= 1, got {n}")
@@ -229,7 +246,9 @@ def census(n: int, k: int = 1, mode: str = "set", jobs: int = 1) -> CensusReport
     _check_cap(n)
     expected = involution_count(n)
     start = time.perf_counter()
-    args = [(node, n, k, mode) for node in _shards(n)]
+    # 1-minor words of each tableau of sizes n - 1 .. n - k + 1, built once
+    tables = [dict(_deck_walk(size)) for size in range(n - 1, n - k, -1)]
+    args = [(node, n, k, mode, tables) for node in _shards(n)]
     processes = min(jobs, len(args), os.cpu_count() or 1)
     if processes == 1:
         shards = (_census_shard(*a) for a in args)

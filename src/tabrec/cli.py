@@ -124,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--exact",
         action="store_true",
-        help="also compute the exact bound (n >= 5); below that, list the "
+        help="also compute the exact bound (n >= 5); at n = 4, list the "
         "colliding multiset decks",
     )
 

@@ -30,7 +30,7 @@ from tabrec.census import (
     proposition_pair,
     verify_proposition,
 )
-from tabrec.core import StandardTableau, enumerate_syt_all
+from tabrec.core import StandardTableau, TableauError, enumerate_syt_all
 from tabrec.reconstruct import Invalid, TooSmallError
 from tabrec.taquin import (
     _tableau_of,
@@ -115,16 +115,41 @@ def test_census_multiset_collisions_share_support():
             assert len(supports) == 1
 
 
-def test_census_k2_runs():
-    report = census(4, 2, "set")
-    assert report.total == 10
-    for cls in report.classes:
-        assert len({minor_set(t, 2).to_text() for t in cls}) == 1
+def slide_classes(n, k, mode):
+    """Collision classes of 𝒴ₙ grouped by the text of the slide-based
+    k-minor deck, in census order: by deck text, members sorted."""
+    minors = minor_set if mode == "set" else minor_multiset
+    groups = {}
+    for t in enumerate_syt_all(n):
+        groups.setdefault(minors(t, k).to_text(), []).append(t)
+    return tuple(
+        tuple(sorted(group))
+        for _, group in sorted(groups.items())
+        if len(group) >= 2
+    )
+
+
+def test_census_k_minor_classes_match_slide_decks():
+    # the census keys k >= 2 by words from the walk alone, so the oracle
+    # is slide-based deletion: a set key that kept counts, a multiset key
+    # that dropped them, or one level too few would each regroup some case
+    for n in range(3, 8):
+        for k in range(2, n):
+            for mode in ("set", "multiset"):
+                report = census(n, k, mode)
+                assert report.total == involution_count(n)
+                assert report.classes == slide_classes(n, k, mode), (n, k, mode)
+    assert len(slide_classes(7, 3, "set")) == 40
+    assert len(slide_classes(7, 5, "multiset")) == 48
+    for mode in ("set", "multiset"):
+        expected = slide_classes(7, 3, mode)
+        for jobs in (1, 2):
+            assert census(7, 3, mode, jobs).classes == expected, (mode, jobs)
 
 
 def test_census_deterministic_across_jobs():
-    # at k = 2 the deck keys are Deck and DeckMultiset values, pickled back
-    # from the workers and merged by their hash
+    # at k = 2 the keys are k-minor words, built from word tables that go
+    # to the workers with their shards
     for k, mode in ((1, "set"), (2, "set"), (2, "multiset")):
         reports = [census(6, k, mode, jobs=j) for j in (1, 2, 8)]
         texts = {r.to_text() for r in reports}
@@ -161,7 +186,7 @@ def test_census_argument_validation():
         census(3, 3)
     with pytest.raises(ResourceLimitError):
         census(14, 1, "set")
-    with pytest.raises(Exception):
+    with pytest.raises(TableauError, match="mode must be set or multiset"):
         census(3, 1, "bag")
 
 
@@ -560,8 +585,13 @@ def test_census_and_exact_h1_make_no_slides(monkeypatch):
     monkeypatch.setattr(taquin_module, "_slide", fail)
     monkeypatch.setattr(Deck, "to_text", fail)
     monkeypatch.setattr(DeckMultiset, "to_text", fail)
+    # nor builds a tableau or deck: keys are words at every k
+    monkeypatch.setattr(StandardTableau, "_make", fail)
+    monkeypatch.setattr(Deck, "__post_init__", fail)
+    monkeypatch.setattr(DeckMultiset, "__post_init__", fail)
     for mode in ("set", "multiset"):
         assert census(7, 1, mode).classes == ()
+        assert census(8, 2, mode).classes == ()
     assert compute_H1_exact(7) == 6
 
 
