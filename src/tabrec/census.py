@@ -15,7 +15,6 @@ replays the constructive reconstruction against the census grouping.
 """
 
 import os
-import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -51,7 +50,10 @@ from .taquin import (
     minor_set,
 )
 
-MAX_HBOUND_N = 1000  # verify_proposition's O(n^2) deletions take ~1 s here
+# largest n for hbound and the proposition5 suite, which checks every
+# n = 4..max_n: verify_proposition(1000) takes 1.5 ms, and the suite to
+# 1000 about 1.1 s by the CLI (2-core Xeon, Python 3.11, median of 3)
+MAX_HBOUND_N = 1000
 
 # number of tableaux with n entries: a(n) = a(n-1) + (n-1) a(n-2),
 # kept as an independent cross-check on the enumeration
@@ -68,35 +70,29 @@ class VerificationError(TableauError):
     """A verified property failed to hold."""
 
 
-def _class_lines(label: str, classes):
-    """``<label> size=<k>`` and its members' text, for each class."""
+def _class_lines(classes):
+    """``class size=<k>`` and its members' text, for each class."""
     for cls in classes:
-        yield f"{label} size={len(cls)}"
+        yield f"class size={len(cls)}"
         yield from (t.to_text() for t in cls)
 
 
 @dataclass(frozen=True)
 class CensusReport:
-    """Collision classes of the deck census over all size-n tableaux.
-
-    ``elapsed`` is wall time in seconds; it is carried on the report but
-    left out of both serialized forms, which are byte-stable across runs
-    and worker counts.
-    """
+    """Collision classes of the deck census over all size-n tableaux."""
 
     n: int
     k: int
     mode: str
     classes: tuple[tuple[StandardTableau, ...], ...]
     total: int
-    elapsed: float
 
     def to_text(self) -> str:
         header = (
             f"census n={self.n} k={self.k} mode={self.mode} "
             f"classes={len(self.classes)}"
         )
-        return "\n".join([header, *_class_lines("class", self.classes)])
+        return "\n".join([header, *_class_lines(self.classes)])
 
     def to_json(self) -> str:
         classes = [[t.to_text() for t in cls] for cls in self.classes]
@@ -136,18 +132,6 @@ class DifferentialReport:
     set_ambiguous: tuple[tuple[StandardTableau, ...], ...]
     multiset_ambiguous: tuple[tuple[StandardTableau, ...], ...]
     violations: tuple[str, ...]
-
-    def to_text(self) -> str:
-        lines = [
-            f"differential n={self.n} total={self.total} "
-            f"set-ambiguous={len(self.set_ambiguous)} "
-            f"multiset-ambiguous={len(self.multiset_ambiguous)} "
-            f"violations={len(self.violations)}"
-        ]
-        lines.extend(_class_lines("set-class", self.set_ambiguous))
-        lines.extend(_class_lines("multiset-class", self.multiset_ambiguous))
-        lines.extend(f"violation {v}" for v in self.violations)
-        return "\n".join(lines)
 
 
 def _check_cap(n: int) -> None:
@@ -199,15 +183,16 @@ def _shards(n: int):
     return list(_nodes(min(_SHARD_DEPTH, n - 1)))
 
 
-def _census_shard(node, n, k, mode, tables):
+def _census_shard(node, n, mode, tables):
     """(deck key, word) for each size-n tableau below ``node``; runs in
-    workers.  The key is the sorted words of the k-minors, paired with
-    their counts in multiset mode.  At k = 1 the walk gives the minor
-    words.  At k >= 2 a level maps each minor's word to its number of
-    deletion sequences, and tables[j] maps each size n - 1 - j tableau's
-    word to its 1-minor words, so the next level takes no slide."""
+    workers.  The key is the sorted words of the k-minors, k being
+    len(tables) + 1, paired with their counts in multiset mode.  At k = 1
+    the walk gives the minor words.  At k >= 2 a level maps each minor's
+    word to its number of deletion sequences, and tables[j] maps each
+    size n - 1 - j tableau's word to its 1-minor words, so the next level
+    takes no slide."""
     walk = _deck_walk(n, node)
-    if k == 1:
+    if not tables:
         if mode == "set":
             return [(tuple(sorted(set(m))), word) for word, m in walk]
         return [(tuple(sorted(m)), word) for word, m in walk]
@@ -245,10 +230,9 @@ def census(n: int, k: int = 1, mode: str = "set", jobs: int = 1) -> CensusReport
         raise OutOfRangeError(f"census needs jobs >= 1, got {jobs}")
     _check_cap(n)
     expected = involution_count(n)
-    start = time.perf_counter()
     # 1-minor words of each tableau of sizes n - 1 .. n - k + 1, built once
     tables = [dict(_deck_walk(size)) for size in range(n - 1, n - k, -1)]
-    args = [(node, n, k, mode, tables) for node in _shards(n)]
+    args = [(node, n, mode, tables) for node in _shards(n)]
     processes = min(jobs, len(args), os.cpu_count() or 1)
     if processes == 1:
         shards = (_census_shard(*a) for a in args)
@@ -276,14 +260,7 @@ def census(n: int, k: int = 1, mode: str = "set", jobs: int = 1) -> CensusReport
         ),
         key=lambda cls: minors(cls[0], k).to_text(),
     )
-    return CensusReport(
-        n=n,
-        k=k,
-        mode=mode,
-        classes=tuple(classes),
-        total=total,
-        elapsed=time.perf_counter() - start,
-    )
+    return CensusReport(n=n, k=k, mode=mode, classes=tuple(classes), total=total)
 
 
 def proposition_pair(n: int) -> tuple[StandardTableau, StandardTableau]:

@@ -198,7 +198,7 @@ def _cmd_hbound(args) -> int:
         report = dataclasses.replace(report, exact_H1=compute_H1_exact(args.n))
     elif args.exact:
         classes = census(args.n, 1, "multiset").classes
-    print("\n".join([report.to_text(), *_class_lines("class", classes)]))
+    print("\n".join([report.to_text(), *_class_lines(classes)]))
     return 0
 
 

@@ -271,18 +271,18 @@ def _syt_count(shape: Partition) -> int:
 
 
 def _capped(shape: Partition) -> Partition:
-    """``shape``, refused if it has more than CENSUS_CAP cells or tableaux,
-    or more than _MAX_ENTRIES entries in all (f^shape * n).  A float
-    estimate of log f^shape refuses a shape far over the cap; the exact
-    count, whose big-integer products take minutes for a million cells
-    far from a row, decides the rest.
+    """``shape``, refused if it has more than CENSUS_CAP cells or more
+    than _MAX_ENTRIES entries in all (f^shape * n), which also bounds
+    f^shape by CENSUS_CAP (f^shape <= 216 for n <= 9).  A float estimate
+    of log f^shape refuses a shape far over the cap; the exact count,
+    whose big-integer products take minutes for a million cells far from
+    a row, decides the rest.
     """
     n = sum(shape)
     if (
         n > CENSUS_CAP
         or lgamma(n + 1) - fsum(map(log, _hooks(shape))) > log(CENSUS_CAP) + 1
-        or (count := _syt_count(shape)) > CENSUS_CAP
-        or count * n > _MAX_ENTRIES
+        or _syt_count(shape) * n > _MAX_ENTRIES
     ):
         raise ResourceLimitError(
             f"shape {shape} exceeds the cap of {CENSUS_CAP} cells or tableaux "
@@ -338,8 +338,8 @@ def enumerate_syt_all(n: int) -> Iterator[StandardTableau]:
 
     Shapes follow enumerate_partitions order; within a shape, tableaux
     follow enumerate_syt order.  Before the first tableau, the shapes are
-    checked in that order up to the first with more than CENSUS_CAP
-    cells or tableaux, which is refused.
+    checked in that order up to the first over the caps of _capped, which
+    is refused.
     """
     for shape in list(map(_capped, enumerate_partitions(n))):
         yield from enumerate_syt(shape)

@@ -324,8 +324,9 @@ def _exhaustive_set(deck: Deck | DeckMultiset) -> Outcome:
     return Ambiguous(tuple(candidates))
 
 
-def reconstruct_from_set(deck: Deck) -> Outcome:
-    """Tableaux whose set of 1-minors is ``deck``, as an outcome value.
+def reconstruct_from_set(deck: Deck | DeckMultiset) -> Outcome:
+    """Tableaux whose set of 1-minors is ``deck``, as an outcome value;
+    a multiset deck is read as reconstruct_from_multiset reads it.
 
     For n >= 5 the constructive pipeline runs, and its single candidate
     is checked against the input deck before being reported Unique; any
@@ -333,7 +334,12 @@ def reconstruct_from_set(deck: Deck) -> Outcome:
     n <= 4 exhaustive search settles the question, so the small
     ambiguous decks come back Ambiguous with every candidate listed.
     """
-    return _reconstruct(deck)
+    if deck.k == 1 and deck.n <= 4:
+        return _exhaustive_set(deck)
+    try:
+        return Unique(_reconstruct_inductive(deck))
+    except TableauError as exc:
+        return Invalid(str(exc))
 
 
 def reconstruct_from_multiset(cards: DeckMultiset) -> Outcome:
@@ -344,14 +350,4 @@ def reconstruct_from_multiset(cards: DeckMultiset) -> Outcome:
     the multiplicities.  For n <= 4 exhaustive search compares multisets,
     which splits decks the coarser set comparison conflates.
     """
-    return _reconstruct(cards)
-
-
-def _reconstruct(deck: Deck | DeckMultiset) -> Outcome:
-    """reconstruct_from_set, or reconstruct_from_multiset for a multiset."""
-    if deck.k == 1 and deck.n <= 4:
-        return _exhaustive_set(deck)
-    try:
-        return Unique(_reconstruct_inductive(deck))
-    except TableauError as exc:
-        return Invalid(str(exc))
+    return reconstruct_from_set(cards)

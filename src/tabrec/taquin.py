@@ -216,8 +216,6 @@ class Deck:
     @classmethod
     def from_text(cls, text: str) -> "Deck":
         k, n, members = _parse_deck_lines(text, multiset=False)
-        if len(set(members)) != len(members):
-            raise NotADeckError("duplicate members in deck text")
         return cls(members, k, n)
 
 
@@ -299,7 +297,8 @@ def _parse_deck_lines(text: str, multiset: bool):
 
     Member lines may be empty (the empty tableau), so lines are split
     verbatim; one trailing newline beyond the member count is tolerated,
-    and so is trailing whitespace on a line, such as a CRLF line end.
+    and so is trailing whitespace on a line, such as a CRLF line end.  A
+    member on two lines is refused.
     """
     if not text.strip():
         raise NotADeckError("empty deck text")
@@ -323,19 +322,25 @@ def _parse_deck_lines(text: str, multiset: bool):
         )
     read = _RowMemo().tableau
     if not multiset:
-        return k, n, list(map(read, body))
-    cards = []
-    for line in body:
-        # trailing whitespace (a CRLF line end) goes; a leading space
-        # stays, since " x1" is the empty tableau's card
-        member_text, sep, mult_text = line.rstrip().rpartition(" x")
-        try:
-            if not sep or not mult_text.isdecimal():
-                raise ValueError(mult_text)
-            mult = int(mult_text)  # fails past int()'s digit limit too
-        except ValueError:
-            raise NotADeckError(f"missing multiplicity suffix in {line!r}") from None
-        cards.append((read(member_text), mult))
+        cards = members = list(map(read, body))
+    else:
+        cards = []
+        for line in body:
+            # trailing whitespace (a CRLF line end) goes; a leading space
+            # stays, since " x1" is the empty tableau's card
+            member_text, sep, mult_text = line.rstrip().rpartition(" x")
+            try:
+                if not sep or not mult_text.isdecimal():
+                    raise ValueError(mult_text)
+                mult = int(mult_text)  # fails past int()'s digit limit too
+            except ValueError:
+                raise NotADeckError(
+                    f"missing multiplicity suffix in {line!r}"
+                ) from None
+            cards.append((read(member_text), mult))
+        members = [member for member, _ in cards]
+    if len(set(members)) != len(members):
+        raise NotADeckError("duplicate members in deck text")
     return k, n, cards
 
 

@@ -174,7 +174,6 @@ def test_census_report_serialization():
         "total": 10,
         "classes": [["1 2 / 3 4", "1 3 / 2 4"]],
     }
-    assert report.elapsed >= 0.0
 
 
 def test_census_argument_validation():
@@ -283,17 +282,6 @@ def test_differential_all_unique_at_five():
     assert report.set_unique == report.multiset_unique == 26
     assert report.set_ambiguous == report.multiset_ambiguous == ()
     assert report.violations == ()
-
-
-def test_differential_report_text():
-    report = differential_check(3)
-    assert report.to_text() == (
-        "differential n=3 total=4 set-ambiguous=1 multiset-ambiguous=0 "
-        "violations=0\n"
-        "set-class size=2\n"
-        "1 2 / 3\n"
-        "1 3 / 2"
-    )
 
 
 def test_verify_suite_registry_and_results():
@@ -505,8 +493,6 @@ def test_differential_check_reports_disagreements(monkeypatch):
         "set deck of '1 2 3': got 'invalid wrong', census says 'unique 1 2 3'"
     )
     assert report.violations[0] == first
-    assert report.to_text().splitlines()[0].endswith("violations=4")
-    assert f"violation {first}" in report.to_text().splitlines()
 
 
 def test_common_bound_suite_cap(monkeypatch):

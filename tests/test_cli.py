@@ -160,6 +160,15 @@ def test_reconstruct_invalid_deck_text(capsys, monkeypatch):
     status, _, err = invoke(capsys, "reconstruct")
     assert status == 1
     assert err.startswith("error:")
+    # a member line repeated, though merged they would be a genuine deck
+    feed(
+        monkeypatch,
+        "deck k=1 n=5 size=4\n1 3 / 2 4 x1\n1 2 4 / 3 x1\n1 2 4 / 3 x1\n"
+        "1 3 4 / 2 x2\n",
+    )
+    assert invoke(capsys, "reconstruct", "--multiset", "--expect-unique") == (
+        1, "", "error: duplicate members in deck text\n"
+    )
 
 
 def test_reconstruct_minors_round_trip(capsys, monkeypatch):

@@ -304,6 +304,15 @@ def test_enumeration_refuses_shapes_over_the_entry_cap():
     # the largest count at n = 15, 292,864 tableaux, is under it
     assert max(map(hook_length_count, enumerate_partitions(15))) * 15 <= 10**7
     assert _capped((3161, 1)) == (3161, 1)
+    # up to n = 20 a shape is refused exactly when its tableaux hold more
+    # than 10**7 entries: none is refused for its count of tableaux alone
+    for n in range(21):
+        for shape in enumerate_partitions(n):
+            if hook_length_count(shape) * n > 10**7:
+                with pytest.raises(ResourceLimitError):
+                    _capped(shape)
+            else:
+                assert _capped(shape) == shape
 
 
 def reference_enumeration(shape):

@@ -210,8 +210,14 @@ def test_deck_text_rejects_malformed_input():
         Deck.from_text("deck k=1 n=3")
     with pytest.raises(NotADeckError):
         Deck.from_text("deck k=1 n=3 size=2\n1 2")
-    with pytest.raises(NotADeckError):
+    with pytest.raises(NotADeckError, match="duplicate members"):
         Deck.from_text("deck k=1 n=3 size=2\n1 2\n1 2")
+    # merged, these cards would be the multiset deck of 1 3 5 / 2 4
+    with pytest.raises(NotADeckError, match="duplicate members"):
+        DeckMultiset.from_text(
+            "deck k=1 n=5 size=4\n1 3 / 2 4 x1\n1 2 4 / 3 x1\n1 2 4 / 3 x1\n"
+            "1 3 4 / 2 x2"
+        )
     with pytest.raises(NotADeckError):
         DeckMultiset.from_text("deck k=1 n=3 size=1\n1 2")
     with pytest.raises(NotADeckError):
