@@ -10,13 +10,13 @@ located cell, but stops early once a lone member of T - n's shape
 passes the re-check with the located n's put back.  A level maps each
 member's packed row word (as in taquin._add) to its shape, so no level
 is decoded into tableaux.  The candidate is re-checked by comparing its
-1-minors' words, from the slide-free recurrence, with the input's.  The
-pipeline is complete for n >= 5; for n <= 4 exhaustive search gives a
-total answer (Unique, Ambiguous with all candidates, or Invalid).
+1-minors' words, from one slide per run (taquin._minor_counts), with the
+input's.  The pipeline is complete for n >= 5; for n <= 4 exhaustive
+search gives a total answer (Unique, Ambiguous with all candidates, or
+Invalid).
 """
 
 import functools
-from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -34,7 +34,7 @@ from .taquin import (
     Deck,
     DeckMultiset,
     NotADeckError,
-    _minor_words,
+    _minor_counts,
     _tableau_of,
     _word_of,
     minor_multiset,
@@ -196,7 +196,7 @@ def _reduce(n: int, level: dict, width: int):
 @functools.cache
 def _base_table(shape: Partition, width: int) -> dict:
     """Each tableau of ``shape``, keyed by the set of its 1-minors' words."""
-    return {frozenset(_minor_words(t, width)): t for t in enumerate_syt(shape)}
+    return {frozenset(_minor_counts(t, width)): t for t in enumerate_syt(shape)}
 
 
 def _base(n: int, shape: Partition, level: dict, width: int):
@@ -299,14 +299,14 @@ def _insert(tableau: StandardTableau, cells) -> StandardTableau:
 
 
 def _recheck(candidate: StandardTableau, words: dict, cards, width: int):
-    """``candidate``, if its 1-minors' words match ``words`` and ``cards``."""
-    minors = _minor_words(candidate, width)
-    if set(minors) != set(words):
+    """``candidate``, if its 1-minors' words and their counts, from one
+    slide per run (taquin._minor_counts), match ``words`` and ``cards``."""
+    counts = _minor_counts(candidate, width)
+    if counts.keys() != words.keys():
         raise NotADeckError("reconstructed candidate has a different deck")
-    if cards:  # distinct members have distinct words, so words lines up with cards
-        counts = dict(zip(words, (k for _, k in cards)))
-        if Counter(minors) != Counter(counts):
-            raise NotADeckError("reconstructed candidate has a different multiset")
+    # distinct members have distinct words, so words lines up with cards
+    if cards and counts != dict(zip(words, (k for _, k in cards))):
+        raise NotADeckError("reconstructed candidate has a different multiset")
     return candidate
 
 

@@ -140,13 +140,32 @@ def _add(node, r: int, width: int, leaf: bool = False):
     return grown, lens[:r] + (col + 1,) + lens[r + 1:], kids, kid_ends
 
 
-def _minor_words(tableau: StandardTableau, width: int) -> list[int]:
-    """Words of tableau - 1, ..., tableau - n (n >= 1), by _add from the
-    empty tableau one entry at a time."""
-    node = _ROOT
-    for _, r in sorted((v, r) for r, row in enumerate(tableau.rows) for v in row):
-        node = _add(node, r, width)
-    return node[2]
+def _minor_counts(tableau: StandardTableau, width: int) -> dict:
+    """Each 1-minor's packed row word (as in _add) mapped to the number of
+    entries whose deletion gives it, by one slide per run (see _minors).
+
+    T - m's word is T's with m's bits cut out and the higher entries
+    shifted down one place; then each entry the hole passes on a down
+    step moves up one row.  The hole only meets cells it has not yet
+    passed, so the slide reads T's own rows, and an empty one below them.
+    """
+    rows, word = tableau.rows + ((),), _word_of(tableau, width)
+    counts: dict = {}
+    for m, (i, j), run in _run_ends(tableau):
+        low = width * (m - 1)
+        minor = (word & (1 << low) - 1) | (word >> low + width) << low
+        row = rows[i]
+        while True:
+            below = rows[i + 1]
+            if j + 1 < len(row) and (j >= len(below) or row[j + 1] < below[j]):
+                j += 1
+            elif j < len(below):
+                minor -= 1 << width * (below[j] - 2)
+                i, row = i + 1, below
+            else:
+                break
+        counts[minor] = counts.get(minor, 0) + run
+    return counts
 
 
 def _word_of(tableau: StandardTableau, width: int) -> int:
@@ -344,6 +363,23 @@ def _parse_deck_lines(text: str, multiset: bool):
     return k, n, cards
 
 
+def _run_ends(tableau: StandardTableau) -> list:
+    """(m, m's 0-based cell, run length) for the last entry m of each run
+    of ``tableau``'s entries (see _minors), in increasing order of m."""
+    cells = [None] * (tableau.n + 2)  # cells[v] is v's 0-based cell
+    for i, row in enumerate(tableau.rows):
+        for j, v in enumerate(row):
+            cells[v] = i, j
+    ends, start = [], 0
+    for m in range(1, tableau.n + 1):
+        i, j = cell = cells[m]
+        after = cells[m + 1]
+        if after != (i, j + 1) and after != (i + 1, j):
+            ends.append((m, cell, m - start))
+            start = m
+    return ends
+
+
 def _minors(tableau: StandardTableau, k: int) -> dict:
     """Each k-minor of ``tableau`` mapped to its number of deletion sequences.
 
@@ -360,20 +396,9 @@ def _minors(tableau: StandardTableau, k: int) -> dict:
     for _ in range(k):
         nxt: dict = {}
         for t, mult in current.items():
-            cells = [None] * (t.n + 2)  # cells[v] is v's 0-based cell
-            for i, row in enumerate(t.rows):
-                for j, v in enumerate(row):
-                    cells[v] = i, j
-            run = 0
-            for m in range(1, t.n + 1):
-                run += mult
-                i, j = cell = cells[m]
-                after = cells[m + 1]
-                if after == (i, j + 1) or after == (i + 1, j):
-                    continue
+            for m, cell, run in _run_ends(t):
                 minor = StandardTableau._make(_slide(t, m, cell)[1])
-                nxt[minor] = nxt.get(minor, 0) + run
-                run = 0
+                nxt[minor] = nxt.get(minor, 0) + run * mult
             if len(nxt) > MAX_MINOR_LEVEL:
                 raise ResourceLimitError(
                     f"a minor level exceeds the cap of {MAX_MINOR_LEVEL} members"
