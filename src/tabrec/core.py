@@ -112,12 +112,13 @@ class StandardTableau:
         self._hash = hash(rows)
 
     @classmethod
-    def _make(cls, rows: Iterable[Iterable[int]]) -> "StandardTableau":
-        """Build from rows known to form a standard tableau, unchecked."""
+    def _make(cls, rows: Iterable[Iterable[int]], shape=None) -> "StandardTableau":
+        """Build from rows known to form a standard tableau, unchecked;
+        with ``shape``, their lengths, the rows must be tuples."""
         tableau = object.__new__(cls)
-        tableau.rows = tuple(map(tuple, rows))
-        tableau.shape = tuple(map(len, tableau.rows))
-        tableau._hash = hash(tableau.rows)
+        tableau.rows = rows = tuple(rows if shape else map(tuple, rows))
+        tableau.shape = shape or tuple(map(len, rows))
+        tableau._hash = hash(rows)
         return tableau
 
     @property
@@ -132,20 +133,6 @@ class StandardTableau:
                 if v == value:
                     return (i + 1, j + 1)
         raise EntryError(f"{value} does not occur in the tableau")
-
-    def transpose(self) -> "StandardTableau":
-        """Reflection across the main diagonal; an involution."""
-        if not self.rows:
-            return self
-        cols = [
-            tuple(row[j] for row in self.rows if len(row) > j)
-            for j in range(self.shape[0])
-        ]
-        return StandardTableau._make(cols)
-
-    def row_word(self) -> tuple[int, ...]:
-        """All entries read row by row, top to bottom."""
-        return tuple(chain.from_iterable(self.rows))
 
     def sort_key(self) -> tuple[Partition, tuple[tuple[int, ...], ...]]:
         """Canonical order key: shape lexicographic, then row word (equal

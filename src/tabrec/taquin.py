@@ -4,9 +4,10 @@ Deleting entry m from a tableau vacates its cell, slides the hole right
 or down (always swapping with the smaller of the two neighbouring
 entries) until it reaches an outer corner, removes that corner, and
 renumbers every entry p > m to p - 1.  A k-minor is the result of k
-successive deletions.  Decks slide once per run of entries in which each
-next entry sits right of or below the one before, since every entry of
-such a run gives the same minor.
+successive deletions.  Decks walk the hole once per run of entries in
+which each next entry sits right of or below the one before, since every
+entry of such a run gives the same minor, and splice each minor from T's
+own row tuples: only the rows on the hole's path change.
 """
 
 from collections import Counter
@@ -31,33 +32,27 @@ class NotADeckError(TableauError):
 
 # most distinct minors one level of minor_set/minor_multiset may hold.  Levels
 # grow fast: on the 55-cell column-filled staircase k = 5, 6, 7 hold 2,064,
-# 5,894 and 16,287 members and take about 0.2, 0.5 and 1.7 s (2-core Xeon,
-# Python 3.11), so with this cap its --k 20 stops in about 1.2 s instead of
+# 5,894 and 16,287 members and take about 0.06, 0.2 and 1.0 s (2-core Xeon,
+# Python 3.11), so with this cap its --k 20 stops in about 0.9 s instead of
 # running for hours
 MAX_MINOR_LEVEL = 10**4
 
 
-def _slide(
-    tableau: StandardTableau, m: int, cell: Cell | None = None
-) -> tuple[list[Cell], list[list[int]]]:
+def _slide(tableau: StandardTableau, m: int) -> tuple[list[Cell], list[list[int]]]:
     """Vacate the cell of m and slide the hole to an outer corner.
 
-    ``cell`` is m's 0-based (row, col), trusted; without it m is checked
-    against 1..n and found by ``cell_of``.  Returns the hole's cell
-    trajectory (1-based, starting at m's cell) and the rows after
-    sliding, with the vacated corner removed.  Every entry p > m is
-    renumbered to p - 1 while the rows are copied; that keeps their
-    order, so the slide moves the same entries.
+    m is checked against 1..n.  Returns the hole's cell trajectory
+    (1-based, starting at m's cell) and the rows after sliding, with the
+    vacated corner removed.  Every entry p > m is renumbered to p - 1
+    while the rows are copied; that keeps their order, so the slide moves
+    the same entries.
     """
-    if cell is None:
-        n = tableau.n
-        if not 1 <= m <= n:
-            raise OutOfRangeError(f"entry {m} outside 1..{n}")
-        r, c = tableau.cell_of(m)
-        cell = r - 1, c - 1
+    n = tableau.n
+    if not 1 <= m <= n:
+        raise OutOfRangeError(f"entry {m} outside 1..{n}")
+    r, c = tableau.cell_of(m)
     rows = [[v - 1 if v > m else v for v in row] for row in tableau.rows]
-    i, j = cell
-    path = [(i + 1, j + 1)]
+    i, j, path = r - 1, c - 1, [(r, c)]
     while True:
         has_right = j + 1 < len(rows[i])
         has_below = i + 1 < len(rows) and j < len(rows[i + 1])
@@ -97,8 +92,7 @@ def slide_path(tableau: StandardTableau, m: int) -> tuple[Cell, ...]:
     Starts at m's cell, each step goes one cell right or down, and the
     final cell is an outer corner of the original shape.
     """
-    path, _ = _slide(tableau, m)
-    return tuple(path)
+    return tuple(_slide(tableau, m)[0])
 
 
 # a walk node is (word, row lengths, minor words, slide path ends); the root
@@ -151,7 +145,9 @@ def _minor_counts(tableau: StandardTableau, width: int) -> dict:
     """
     rows, word = tableau.rows + ((),), _word_of(tableau, width)
     counts: dict = {}
-    for m, (i, j), run in _run_ends(tableau):
+    for m, (i, j), run in _segment_ends(tableau):
+        if not run:
+            continue
         low = width * (m - 1)
         minor = (word & (1 << low) - 1) | (word >> low + width) << low
         row = rows[i]
@@ -363,21 +359,64 @@ def _parse_deck_lines(text: str, multiset: bool):
     return k, n, cards
 
 
-def _run_ends(tableau: StandardTableau) -> list:
-    """(m, m's 0-based cell, run length) for the last entry m of each run
-    of ``tableau``'s entries (see _minors), in increasing order of m."""
-    cells = [None] * (tableau.n + 2)  # cells[v] is v's 0-based cell
+def _segment_ends(tableau: StandardTableau) -> list:
+    """(m, m's 0-based cell, run) for each entry m that m + 1 does not
+    follow in its row, in increasing order of m: run is the length of the
+    run m ends (see _minors), or 0 if m + 1 sits below m and the run goes
+    on.  m + 1 is in m's row only right next to it, so these entries end
+    the rows' horizontal segments, and a run never ends within one."""
+    cells = [(-1, -1)] * (tableau.n + 2)  # cells[v] is v's 0-based cell; row -1 past n
     for i, row in enumerate(tableau.rows):
         for j, v in enumerate(row):
             cells[v] = i, j
     ends, start = [], 0
     for m in range(1, tableau.n + 1):
         i, j = cell = cells[m]
-        after = cells[m + 1]
-        if after != (i, j + 1) and after != (i + 1, j):
-            ends.append((m, cell, m - start))
-            start = m
+        r, c = cells[m + 1]
+        if r != i:
+            run = 0 if r == i + 1 and c == j else m - start
+            ends.append((m, cell, run))
+            start += run
     return ends
+
+
+def _walk(rows, low, shape, minor: list, i: int, j: int) -> StandardTableau:
+    """T - T[i][j], by sliding the hole from 0-based cell (i, j) of T's
+    ``rows`` (an empty row below them) on T's own entries and splicing its
+    path into ``minor``, T's rows renumbered for the deletion; ``low`` is
+    ``rows`` less one at every entry and ``shape`` T's shape.  A row the
+    hole leaves downward takes the entries it passed one cell left and the
+    entry below; the row it ends in loses its last cell."""
+    a, row, below = j, rows[i], rows[i + 1]
+    while j < len(below):
+        if j + 1 < len(row) and row[j + 1] < below[j]:
+            j += 1
+        else:
+            tail = low[i][a + 1:j + 1] + (low[i + 1][j],) + low[i][j + 1:]
+            minor[i] = minor[i][:a] + tail
+            i, a, row, below = i + 1, j, below, rows[i + 2]
+    minor[i] = minor[i][:a] + low[i][a + 1:]  # nothing below: on to the end
+    if minor[i]:
+        return StandardTableau._make(minor, shape[:i] + (shape[i] - 1,) + shape[i + 1:])
+    del minor[i]  # a one-cell last row goes
+    return StandardTableau._make(minor, shape[:i])
+
+
+def _one_minors(tableau: StandardTableau) -> list:
+    """(T - m, run length) for the last entry m of each run (see _minors).
+
+    ``cur`` holds T's rows with the entries up to m kept and the rest less
+    one, renewed once per horizontal segment, at its end (once per entry
+    would be O(n^2) on a long row).  Each T - m splices into a copy of it.
+    """
+    rows = tableau.rows + ((),)
+    low = [tuple([v - 1 for v in row]) for row in rows]
+    cur, out = low[:-1], []
+    for m, (i, j), run in _segment_ends(tableau):
+        cur[i] = rows[i][:j + 1] + low[i][j + 1:]
+        if run:
+            out.append((_walk(rows, low, tableau.shape, cur[:], i, j), run))
+    return out
 
 
 def _minors(tableau: StandardTableau, k: int) -> dict:
@@ -386,7 +425,7 @@ def _minors(tableau: StandardTableau, k: int) -> dict:
     If m + 1 sits right of or below m, deleting m first moves m + 1 into
     m's cell and then slides on as deleting m + 1 does, so T - m = T - (m + 1).
     Each tableau's entries therefore split into runs of such neighbours,
-    and one slide, of the run's last entry, serves the whole run.
+    and one hole walk, of the run's last entry, serves the whole run.
     """
     n = tableau.n
     if not 0 <= k <= n:
@@ -396,8 +435,7 @@ def _minors(tableau: StandardTableau, k: int) -> dict:
     for _ in range(k):
         nxt: dict = {}
         for t, mult in current.items():
-            for m, cell, run in _run_ends(t):
-                minor = StandardTableau._make(_slide(t, m, cell)[1])
+            for minor, run in _one_minors(t):
                 nxt[minor] = nxt.get(minor, 0) + run * mult
             if len(nxt) > MAX_MINOR_LEVEL:
                 raise ResourceLimitError(

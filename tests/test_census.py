@@ -565,10 +565,11 @@ def test_cap_fits_the_row_packing():
 
 def test_census_and_exact_h1_make_no_slides(monkeypatch):
     def fail(*args):
-        raise AssertionError("slid or built deck text")
+        raise AssertionError("slid, walked a hole or built deck text")
 
     taquin_module = importlib.import_module("tabrec.taquin")
     monkeypatch.setattr(taquin_module, "_slide", fail)
+    monkeypatch.setattr(taquin_module, "_walk", fail)
     monkeypatch.setattr(Deck, "to_text", fail)
     monkeypatch.setattr(DeckMultiset, "to_text", fail)
     # nor builds a tableau or deck: keys are words at every k

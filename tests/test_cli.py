@@ -414,11 +414,12 @@ def test_census_ignores_cap_variable(capsys, monkeypatch):
 def test_minors_level_cap_exits_with_error(capsys, monkeypatch):
     # the column-filled staircase with 55 cells: its minor levels grow
     # about 3x per k, so --k 20 would run for hours without the cap
-    rows, v = [], 1
+    columns, v = [], 1
     for length in range(10, 0, -1):
-        rows.append(list(range(v, v + length)))
+        columns.append(range(v, v + length))
         v += length
-    staircase = StandardTableau(rows).transpose().to_text()
+    rows = ([c[i] for c in columns if i < len(c)] for i in range(10))
+    staircase = StandardTableau(rows).to_text()
     monkeypatch.setattr(tabrec.taquin, "MAX_MINOR_LEVEL", 100)
     for extra in ([], ["--multiset"]):
         status, out, err = invoke(

@@ -38,6 +38,7 @@ from tabrec.taquin import (
     DeckMultiset,
     NotADeckError,
     _minor_counts,
+    _minors,
     _word_of,
     delete_entry,
     minor_multiset,
@@ -342,7 +343,7 @@ def test_unchecked_tableaux_pass_validation():
     # every tableau the package builds without checks passes them
     for n in range(8):
         for t in enumerate_syt_all(n):
-            built = [t, t.transpose()]
+            built = [t]
             built.extend(delete_entry(t, m) for m in range(1, n + 1))
             if n >= 1 and (base := base_of(minor_set(t, 1), t.shape)) is not None:
                 built.append(base)
@@ -368,9 +369,17 @@ REFERENCE_TABLE_32 = {
 }
 
 
+def transposed(t):
+    """``t`` reflected across the main diagonal."""
+    return StandardTableau(
+        [row[j] for row in t.rows if j < len(row)]
+        for j in range(max(t.shape, default=0))
+    )
+
+
 def transpose(deck):
     """The deck with every member transposed."""
-    return Deck((m.transpose() for m in deck.members), deck.k, deck.n)
+    return Deck(map(transposed, deck.members), deck.k, deck.n)
 
 
 def reference_base(deck, shape, line="row"):
@@ -403,7 +412,7 @@ def reference_base(deck, shape, line="row"):
             [[v for v in range(1, n + 1) if v != second], [second]]
         )
     if n >= 4 and shape == (2,) + (1,) * (n - 2):
-        return reference_base(transpose(deck), (n - 1, 1), "column").transpose()
+        return transposed(reference_base(transpose(deck), (n - 1, 1), "column"))
     if shape == (3, 2):
         key = frozenset(member.to_text() for member in deck.members)
         try:
@@ -413,7 +422,7 @@ def reference_base(deck, shape, line="row"):
                 "deck matches none of the five shape-(3,2) decks"
             ) from None
     if shape == (2, 2, 1):
-        return reference_base(transpose(deck), (3, 2)).transpose()
+        return transposed(reference_base(transpose(deck), (3, 2)))
     return None
 
 
@@ -612,6 +621,39 @@ def test_minor_counts_match_delete_entry_at_every_width():
             assert _minor_counts(t, width) == Counter(
                 _word_of(delete_entry(t, m), width) for m in range(1, t.n + 1)
             ), (t.to_text(), width)
+
+
+def deletion_sequences(t, k):
+    """The k-minors of ``t`` counted once per sequence of k deletions, each
+    by delete_entry."""
+    level = Counter([t])
+    for _ in range(k):
+        nxt = Counter()
+        for u, mult in level.items():
+            for m in range(1, u.n + 1):
+                nxt[delete_entry(u, m)] += mult
+        level = nxt
+    return level
+
+
+def test_spliced_minors_match_every_deletion_sequence():
+    # _minors splices each minor from its tableau's row tuples; equality
+    # reads only rows, so each member's shape and hash are checked too
+    small = [
+        (t, k)
+        for n in range(1, 8)
+        for t in enumerate_syt_all(n)
+        for k in range(1, min(n, 3) + 1)
+    ]
+    tableaux = grown_tableaux()
+    assert max(len(t.shape) for t in tableaux) > 16
+    for t, k in small + [(t, 1) for t in tableaux]:
+        minors = _minors(t, k)
+        assert minors == deletion_sequences(t, k), (t.to_text(), k)
+        for member in minors:
+            made = StandardTableau._make(member.rows)
+            assert (member.rows, member.shape) == (made.rows, made.shape)
+            assert hash(member) == hash(made)
 
 
 def test_random_round_trips_and_perturbations_match_reference():

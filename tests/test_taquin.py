@@ -32,6 +32,14 @@ def text(s):
     return StandardTableau.from_text(s)
 
 
+def transpose(t):
+    """``t`` reflected across the main diagonal."""
+    return StandardTableau(
+        [row[j] for row in t.rows if j < len(row)]
+        for j in range(max(t.shape, default=0))
+    )
+
+
 def outer_corners(shape):
     """Cells with no cell to the right or below."""
     return {(r, p) for r, p in enumerate(shape, 1) if shape[r:r + 1] < (p,)}
@@ -111,11 +119,11 @@ def test_deck_reduction_identities():
 def test_transpose_commutes_with_deletion():
     for n in range(1, 8):
         for t in enumerate_syt_all(n):
-            flipped = t.transpose()
+            flipped = transpose(t)
             for m in range(1, n + 1):
-                assert delete_entry(flipped, m) == delete_entry(t, m).transpose()
+                assert delete_entry(flipped, m) == transpose(delete_entry(t, m))
             assert set(minor_set(flipped, 1)) == {
-                m.transpose() for m in minor_set(t, 1)
+                transpose(m) for m in minor_set(t, 1)
             }
 
 
@@ -298,7 +306,7 @@ def column_filled_staircase(m):
     for length in range(m, 0, -1):
         rows.append(list(range(v, v + length)))
         v += length
-    return StandardTableau(rows).transpose()
+    return transpose(StandardTableau(rows))
 
 
 def test_minor_levels_are_capped(monkeypatch):
@@ -361,20 +369,21 @@ def test_adjacent_entries_give_the_same_minor():
 
 
 def test_long_row_and_column_take_one_slide(monkeypatch):
-    slides = []
-    real = tabrec.taquin._slide
+    # one hole walk per run, from the run's last entry: each is one run
+    walks = []
+    real = tabrec.taquin._walk
 
     def counting(*args):
-        slides.append(args[1])
+        walks.append(args[-2:])
         return real(*args)
 
-    monkeypatch.setattr(tabrec.taquin, "_slide", counting)
+    monkeypatch.setattr(tabrec.taquin, "_walk", counting)
     row = StandardTableau([range(1, 20001)])
     assert minor_set(row, 1).members == (StandardTableau([range(1, 20000)]),)
-    assert slides == [20000]
-    slides.clear()
+    assert walks == [(0, 19999)]
+    walks.clear()
     column = StandardTableau([v] for v in range(1, 5001))
     assert minor_multiset(column, 1).cards == (
         (StandardTableau([v] for v in range(1, 5000)), 5000),
     )
-    assert slides == [5000]
+    assert walks == [(4999, 0)]
