@@ -112,13 +112,12 @@ class StandardTableau:
         self._hash = hash(rows)
 
     @classmethod
-    def _make(cls, rows: Iterable[Iterable[int]], shape=None) -> "StandardTableau":
-        """Build from rows known to form a standard tableau, unchecked;
-        with ``shape``, their lengths, the rows must be tuples."""
+    def _make(cls, rows: Iterable[Iterable[int]]) -> "StandardTableau":
+        """Build from rows known to form a standard tableau, unchecked."""
         tableau = object.__new__(cls)
-        tableau.rows = rows = tuple(rows if shape else map(tuple, rows))
-        tableau.shape = shape or tuple(map(len, rows))
-        tableau._hash = hash(rows)
+        tableau.rows = tuple(map(tuple, rows))
+        tableau.shape = tuple(map(len, tableau.rows))
+        tableau._hash = hash(tableau.rows)
         return tableau
 
     @property

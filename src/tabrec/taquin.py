@@ -380,13 +380,13 @@ def _segment_ends(tableau: StandardTableau) -> list:
     return ends
 
 
-def _walk(rows, low, shape, minor: list, i: int, j: int) -> StandardTableau:
+def _walk(rows, low, minor: list, i: int, j: int) -> StandardTableau:
     """T - T[i][j], by sliding the hole from 0-based cell (i, j) of T's
     ``rows`` (an empty row below them) on T's own entries and splicing its
     path into ``minor``, T's rows renumbered for the deletion; ``low`` is
-    ``rows`` less one at every entry and ``shape`` T's shape.  A row the
-    hole leaves downward takes the entries it passed one cell left and the
-    entry below; the row it ends in loses its last cell."""
+    ``rows`` less one at every entry.  A row the hole leaves downward takes
+    the entries it passed one cell left and the entry below; the row it
+    ends in loses its last cell."""
     a, row, below = j, rows[i], rows[i + 1]
     while j < len(below):
         if j + 1 < len(row) and row[j + 1] < below[j]:
@@ -396,10 +396,9 @@ def _walk(rows, low, shape, minor: list, i: int, j: int) -> StandardTableau:
             minor[i] = minor[i][:a] + tail
             i, a, row, below = i + 1, j, below, rows[i + 2]
     minor[i] = minor[i][:a] + low[i][a + 1:]  # nothing below: on to the end
-    if minor[i]:
-        return StandardTableau._make(minor, shape[:i] + (shape[i] - 1,) + shape[i + 1:])
-    del minor[i]  # a one-cell last row goes
-    return StandardTableau._make(minor, shape[:i])
+    if not minor[i]:
+        del minor[i]  # a one-cell last row goes
+    return StandardTableau._make(minor)
 
 
 def _one_minors(tableau: StandardTableau) -> list:
@@ -415,7 +414,7 @@ def _one_minors(tableau: StandardTableau) -> list:
     for m, (i, j), run in _segment_ends(tableau):
         cur[i] = rows[i][:j + 1] + low[i][j + 1:]
         if run:
-            out.append((_walk(rows, low, tableau.shape, cur[:], i, j), run))
+            out.append((_walk(rows, low, cur[:], i, j), run))
     return out
 
 
