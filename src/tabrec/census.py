@@ -16,7 +16,6 @@ replays the constructive reconstruction against the census grouping.
 
 import os
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 
 from .core import (
@@ -26,6 +25,7 @@ from .core import (
     TableauError,
     enumerate_syt,
     enumerate_syt_all,
+    _Record,
 )
 from .reconstruct import (
     _base,
@@ -77,15 +77,10 @@ def _class_lines(classes):
         yield from (t.to_text() for t in cls)
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(_Record):
     """Collision classes of the deck census over all size-n tableaux."""
 
-    n: int
-    k: int
-    mode: str
-    classes: tuple[tuple[StandardTableau, ...], ...]
-    total: int
+    __slots__ = ("n", "k", "mode", "classes", "total")
 
     def to_text(self) -> str:
         header = (
@@ -103,15 +98,10 @@ class CensusReport:
         return json.dumps({**fields, "classes": classes})
 
 
-@dataclass(frozen=True)
-class HBoundReport:
+class HBoundReport(_Record):
     """Witness pair and bound data for the smallest determining submultiset."""
 
-    n: int
-    pair: tuple[StandardTableau, StandardTableau]
-    common: int
-    bound_claimed: int
-    exact_H1: int | None
+    __slots__ = ("n", "pair", "common", "bound_claimed", "exact_H1")
 
     def to_text(self) -> str:
         exact = "none" if self.exact_H1 is None else str(self.exact_H1)
@@ -121,17 +111,13 @@ class HBoundReport:
         )
 
 
-@dataclass(frozen=True)
-class DifferentialReport:
+class DifferentialReport(_Record):
     """Reconstruction outcomes replayed against the census grouping."""
 
-    n: int
-    total: int
-    set_unique: int
-    multiset_unique: int
-    set_ambiguous: tuple[tuple[StandardTableau, ...], ...]
-    multiset_ambiguous: tuple[tuple[StandardTableau, ...], ...]
-    violations: tuple[str, ...]
+    __slots__ = (
+        "n", "total", "set_unique", "multiset_unique",
+        "set_ambiguous", "multiset_ambiguous", "violations",
+    )
 
 
 def _check_cap(n: int) -> None:

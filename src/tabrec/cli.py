@@ -2,7 +2,6 @@
 reconstruction, and the exhaustive verification suites."""
 
 import argparse
-import dataclasses
 import functools
 import sys
 
@@ -195,7 +194,7 @@ def _cmd_hbound(args) -> int:
     report = verify_proposition(args.n)
     classes = ()
     if args.exact and args.n >= 5:
-        report = dataclasses.replace(report, exact_H1=compute_H1_exact(args.n))
+        report = report.replace(exact_H1=compute_H1_exact(args.n))
     elif args.exact:
         classes = census(args.n, 1, "multiset").classes
     print("\n".join([report.to_text(), *_class_lines(classes)]))

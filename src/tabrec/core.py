@@ -11,10 +11,10 @@ Conventions used throughout the package:
 """
 
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from itertools import chain, repeat
 from math import fsum, lgamma, log, prod
 from operator import ge, itemgetter, lt
-from typing import Iterable, Iterator
 
 
 class TableauError(ValueError):
@@ -35,6 +35,51 @@ class OrderError(TableauError):
 
 class ResourceLimitError(TableauError):
     """Requested computation exceeds a fixed size cap."""
+
+
+class _Record:
+    """An immutable value with its class's ``__slots__`` as fields, built by
+    position or keyword.  Equality, hash, repr and pickling follow its exact
+    type and field values; setting or deleting a field raises AttributeError."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs:  # the fields past the positional ones, in field order
+            args += tuple(kwargs.pop(f) for f in names[len(args):] if f in kwargs)
+        # a missing, extra, unknown or twice-given field fails here
+        if len(args) != len(names) or kwargs:
+            raise TypeError(f"{type(self).__name__} takes {', '.join(names)}")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def replace(self, **changes):
+        """A copy with the given fields changed."""
+        return type(self)(**dict(zip(self.__slots__, self._values()), **changes))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._values()))
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, self.__slots__, self._values())
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
 
 
 # most tableaux an exhaustive walk covers: all of 𝒴ₙ for census and the

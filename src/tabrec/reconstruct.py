@@ -18,7 +18,6 @@ Invalid).
 
 import functools
 from contextlib import suppress
-from dataclasses import dataclass
 from itertools import zip_longest
 
 from .core import (
@@ -29,6 +28,7 @@ from .core import (
     enumerate_syt,
     enumerate_syt_all,
     is_rectangular,
+    _Record,
 )
 from .taquin import (
     Deck,
@@ -50,33 +50,28 @@ class NoMatchError(TableauError):
     """Deck matches no tableau of the given base shape."""
 
 
-@dataclass(frozen=True)
-class Unique:
+class Unique(_Record):
     """Exactly one tableau has the input deck."""
 
-    tableau: StandardTableau
+    __slots__ = ("tableau",)
 
 
-@dataclass(frozen=True)
-class Ambiguous:
+class Ambiguous(_Record):
     """Two or more tableaux share the input deck; all are listed."""
 
-    candidates: tuple[StandardTableau, ...]
+    __slots__ = ("candidates",)
 
-    def __post_init__(self):
-        ordered = tuple(
-            sorted(set(self.candidates), key=StandardTableau.sort_key)
-        )
+    def __init__(self, candidates):
+        ordered = tuple(sorted(set(candidates), key=StandardTableau.sort_key))
         if len(ordered) < 2:
             raise TableauError("ambiguous outcome needs at least two candidates")
         object.__setattr__(self, "candidates", ordered)
 
 
-@dataclass(frozen=True)
-class Invalid:
+class Invalid(_Record):
     """No tableau has the input deck."""
 
-    reason: str
+    __slots__ = ("reason",)
 
 
 Outcome = Unique | Ambiguous | Invalid

@@ -11,13 +11,13 @@ own row tuples: only the rows on the hole's path change.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .core import (
     Cell,
     ResourceLimitError,
     StandardTableau,
     TableauError,
+    _Record,
     _RowMemo,
 )
 
@@ -196,22 +196,21 @@ def _check_sizes(members, k: int, n: int, noun: str) -> None:
             )
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class Deck:
+class Deck(_Record):
     """The set of k-minors of a size-n tableau.
 
     Members, from any iterable, are stored deduplicated and sorted in
     canonical order (shape-lexicographic, then row-reading word).
     """
 
-    members: tuple[StandardTableau, ...]
-    k: int
-    n: int
+    __slots__ = ("members", "k", "n")
 
-    def __post_init__(self):
-        members = tuple(sorted(set(self.members), key=StandardTableau.sort_key))
+    def __init__(self, members, k, n):
+        members = tuple(sorted(set(members), key=StandardTableau.sort_key))
         object.__setattr__(self, "members", members)
-        _check_sizes(members, self.k, self.n, "member")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
+        _check_sizes(members, k, n, "member")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -234,8 +233,7 @@ class Deck:
         return cls(members, k, n)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class DeckMultiset:
+class DeckMultiset(_Record):
     """The multiset of k-minors, cards stored as (member, multiplicity) pairs.
 
     Cards are sorted in canonical member order with positive
@@ -246,13 +244,11 @@ class DeckMultiset:
     reach the same minor.
     """
 
-    cards: tuple[tuple[StandardTableau, int], ...]
-    k: int
-    n: int
+    __slots__ = ("cards", "k", "n")
 
-    def __post_init__(self):
+    def __init__(self, cards, k, n):
         counts: Counter = Counter()
-        for member, mult in self.cards:
+        for member, mult in cards:
             if type(mult) is not int or mult < 1:
                 raise NotADeckError(
                     f"multiplicity {mult!r} is not a positive integer"
@@ -262,8 +258,10 @@ class DeckMultiset:
             sorted(counts.items(), key=lambda item: item[0].sort_key())
         )
         object.__setattr__(self, "cards", cards)
-        _check_sizes((m for m, _ in cards), self.k, self.n, "card")
-        if self.k == 1 and self.total() != self.n:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
+        _check_sizes((m for m, _ in cards), k, n, "card")
+        if k == 1 and self.total() != n:
             raise NotADeckError(
                 f"1-minor multiset has total multiplicity {self.total()}, "
                 f"expected {self.n}"

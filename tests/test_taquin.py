@@ -6,7 +6,6 @@ relies on (validity, corner bookkeeping, the deck-reduction identities,
 and commutation with transposition) over every tableau of small sizes.
 """
 
-import dataclasses
 import importlib
 import pickle
 from collections import Counter
@@ -269,16 +268,84 @@ def test_deck_text_tolerates_one_trailing_newline():
 
 
 def test_decks_pickle_and_stay_frozen():
+    """Every value class: repr, equality and hash by exact type and fields,
+    pickling, ``replace``, and read-only fields."""
     t = text("1 3 4 / 2 5")
-    for k in (1, 2):
-        for deck in (minor_set(t, k), minor_multiset(t, k)):
-            for protocol in (2, pickle.HIGHEST_PROTOCOL):
-                copy = pickle.loads(pickle.dumps(deck, protocol))
-                assert copy == deck
-                assert hash(copy) == hash(deck)
-                assert copy.to_text() == deck.to_text()
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                deck.k = 3
+    one, pair = text("1"), (text("1 3 / 2"), text("1 2 / 3"))
+    classes = ((text("1 2 / 3 4"), text("1 3 / 2 4")),)
+    values = [
+        (minor_set(t, 1), "Deck(k=1, n=5, size=3)"),
+        (minor_set(t, 2), "Deck(k=2, n=5, size=3)"),
+        (minor_multiset(t, 1), "DeckMultiset(k=1, n=5, size=3, total=5)"),
+        (minor_multiset(t, 2), "DeckMultiset(k=2, n=5, size=3, total=20)"),
+        (tabrec.Unique(one), "Unique(tableau=StandardTableau('1'))"),
+        (
+            tabrec.Ambiguous(pair),
+            "Ambiguous(candidates=(StandardTableau('1 2 / 3'), "
+            "StandardTableau('1 3 / 2')))",
+        ),
+        (tabrec.Invalid("none"), "Invalid(reason='none')"),
+        (
+            tabrec.census(4, 1, "set"),
+            "CensusReport(n=4, k=1, mode='set', classes=((StandardTableau("
+            "'1 2 / 3 4'), StandardTableau('1 3 / 2 4')),), total=10)",
+        ),
+        (
+            tabrec.verify_proposition(5),
+            "HBoundReport(n=5, pair=(StandardTableau('1 2 4 / 3 / 5'), "
+            "StandardTableau('1 3 4 / 2 / 5')), common=3, bound_claimed=3, "
+            "exact_H1=None)",
+        ),
+        (
+            tabrec.differential_check(4),
+            "DifferentialReport(n=4, total=10, set_unique=8, multiset_unique=8, "
+            f"set_ambiguous={classes!r}, multiset_ambiguous={classes!r}, "
+            "violations=())",
+        ),
+    ]
+    assert {type(value) for value, _ in values} == {
+        tabrec.Deck, tabrec.DeckMultiset, tabrec.Unique, tabrec.Ambiguous,
+        tabrec.Invalid, tabrec.CensusReport, tabrec.HBoundReport,
+        tabrec.DifferentialReport,
+    }
+    assert tabrec.Unique(one) == tabrec.Unique(tableau=one) != tabrec.Invalid(one)
+    assert tabrec.Ambiguous(pair[::-1]) == tabrec.Ambiguous(pair)
+    assert tabrec.Invalid("none") != tabrec.Invalid("other")
+    # a field missing, given twice, unknown, or one too many
+    bad = [((), {}), ((one,), {"tableau": one}), ((), {"t": one}), ((one, one), {})]
+    for args, kwargs in bad:
+        with pytest.raises(TypeError):
+            tabrec.Unique(*args, **kwargs)
+    with pytest.raises(TypeError):
+        tabrec.CensusReport(4, 1, mode="set", total=10)
+    for value, shown in values:
+        cls, names = type(value), type(value).__slots__
+        assert repr(value) == shown
+        fields = {name: getattr(value, name) for name in names}
+        assert cls(**fields) == value and hash(cls(**fields)) == hash(value)
+        assert cls(*fields.values()) == value
+        assert value.replace() == value and value != 1
+        # the same fields under another type are another value
+        twin = object.__new__(type("Twin", (cls,), {"__slots__": ()}))
+        for name, field in fields.items():
+            object.__setattr__(twin, name, field)
+        assert twin != value and value != twin
+        for protocol in (2, pickle.HIGHEST_PROTOCOL):
+            copy = pickle.loads(pickle.dumps(value, protocol))
+            assert type(copy) is cls and copy == value
+            assert hash(copy) == hash(value) and repr(copy) == shown
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(value, name, 3)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+            assert getattr(value, name) is fields[name]
+        if "Report" in cls.__name__:
+            changed = value.replace(n=99)
+            assert changed.n == 99 and value.n == fields["n"]
+            assert changed != value and changed.replace(n=value.n) == value
+    for deck, _ in values[:4]:
+        assert pickle.loads(pickle.dumps(deck)).to_text() == deck.to_text()
 
 
 def test_multiset_text_rejects_non_ascii_and_overlong_multiplicities():
