@@ -1,14 +1,14 @@
 """Brute-force ground truth for the reconstruction results.
 
-Exhaustive censuses group every size-n tableau by a canonical encoding
-of its deck, so collision classes (distinct tableaux sharing a deck) are
-read off by exact key equality instead of pairwise comparison.  The
-key is the sorted k-minors' packed row words (the row of entry v in
-bits 4(v-1)..4v-1), with counts in multiset mode.  One depth-first walk
-of the add-a-corner tree gives every tableau's 1-minor words without a
+Exhaustive censuses find the collision classes (distinct tableaux
+sharing a deck) of all size-n tableaux without pairwise comparison.  One
+depth-first walk of the add-a-corner tree gives every tableau's 1-minors
+as packed row words (the row of entry v in bits 4(v-1)..4v-1) without a
 slide, and as the k-minors of T are the 1-minors of its (k-1)-minors,
-the walk's tables at smaller sizes give the rest by lookup.  census
-shards the walk by subtree, and decodes only colliding tableaux.
+the walk's tables at smaller sizes give the rest by lookup.  Each
+tableau leaves one int, the hash of its k-minor words; only tableaux
+whose hash is shared are walked to again, decoded and grouped by
+slide-built decks.  census shards the walk by subtree.
 On top of the census sit the bound experiments for the smallest
 determining submultiset of 1-minors, and a differential check that
 replays the constructive reconstruction against the census grouping.
@@ -42,8 +42,11 @@ from .reconstruct import (
 )
 from .taquin import (
     _ROOT,
-    _add,
+    _grow,
+    _one_minors,
     _tableau_of,
+    Deck,
+    DeckMultiset,
     OutOfRangeError,
     delete_entry,
     minor_multiset,
@@ -138,14 +141,6 @@ _SHARD_DEPTH = 5  # census shards are the subtrees below size-5 tableaux
 _WIDTH = 4  # bits per entry in census words: 16 rows, enough below the cap
 
 
-def _children(node, leaves=False):
-    """taquin._add at width 4 at each corner of ``node``, top row first."""
-    lens = node[1]
-    for r, col in enumerate(lens + (0,)):
-        if not r or lens[r - 1] > col:
-            yield _add(node, r, _WIDTH, leaves)
-
-
 def _nodes(n: int, node=_ROOT):
     """The walk nodes of the size-n tableaux below ``node``, depth first."""
     stack = [node]
@@ -154,14 +149,14 @@ def _nodes(n: int, node=_ROOT):
         if len(node[2]) == n:
             yield node
         else:
-            stack.extend(_children(node))
+            stack += _grow(node, _WIDTH)
 
 
 def _deck_walk(n: int, node=_ROOT):
     """Each size-n tableau T below ``node`` (default: all of 𝒴ₙ, n >= 1)
     as (word, minors), with minors[m - 1] the word of T - m."""
     for parent in _nodes(n - 1, node):
-        yield from _children(parent, leaves=True)
+        yield from _grow(parent, _WIDTH, leaf=True)
 
 
 def _shards(n: int):
@@ -170,32 +165,76 @@ def _shards(n: int):
 
 
 def _census_shard(node, n, mode, tables):
-    """(deck key, word) for each size-n tableau below ``node``; runs in
-    workers.  The key is the sorted words of the k-minors, k being
-    len(tables) + 1, paired with their counts in multiset mode.  At k = 1
-    the walk gives the minor words.  At k >= 2 a level maps each minor's
-    word to its number of deletion sequences, and tables[j] maps each
-    size n - 1 - j tableau's word to its 1-minor words, so the next level
-    takes no slide."""
+    """The hash of each size-n tableau's k-minor words (k = len(tables) + 1),
+    which equal decks share, for the tableaux below ``node`` in the order
+    _deck_walk gives them.  At k >= 2, tables[j] maps each size n - 1 - j
+    word to its 1-minor words, so no level takes a slide; a multiset level
+    maps each word to its number of deletion sequences.  Hashes of ints, and
+    of tuples and frozensets of them, do not depend on PYTHONHASHSEED, so
+    workers agree."""
+    keys: list[int] = []
+    add_key = keys.append
     walk = _deck_walk(n, node)
-    if not tables:
-        if mode == "set":
-            return [(tuple(sorted(set(m))), word) for word, m in walk]
-        return [(tuple(sorted(m)), word) for word, m in walk]
-    keys = []
-    for word, minors in walk:
-        level = Counter(minors)
-        for table in tables:
-            below: dict[int, int] = {}
-            for w, count in level.items():
-                for m in table[w]:
-                    below[m] = below.get(m, 0) + count
-            level = below
-        if mode == "set":
-            keys.append((tuple(sorted(level)), word))
-        else:  # the sorted (word, count) pairs, flat: a pair tuple costs 64 bytes
-            keys.append((tuple(chain.from_iterable(sorted(level.items()))), word))
+    if mode == "set":
+        for _, minors in walk:
+            for table in tables:
+                minors = set().union(*map(table.__getitem__, minors))
+            add_key(hash(frozenset(minors)))
+    elif not tables:
+        for _, minors in walk:
+            minors.sort()
+            add_key(hash(tuple(minors)))
+    else:
+        for _, minors in walk:
+            level = Counter(minors)
+            for table in tables:
+                below: dict[int, int] = {}
+                for w, count in level.items():
+                    for m in table[w]:
+                        below[m] = below.get(m, 0) + count
+                level = below
+            add_key(hash(frozenset(level.items())))
     return keys
+
+
+_work = ()  # (n, mode, tables) of the census a worker process serves
+
+
+def _serve(*work):
+    """Pool initializer: keep a census's fixed arguments in the worker, so
+    the word tables cross to it once, not with every shard."""
+    global _work
+    _work = work
+
+
+def _served_shard(node):
+    return _census_shard(node, *_work)
+
+
+def _run_shards(nodes, work, processes):
+    """_census_shard's results for ``nodes`` in order, each as it arrives."""
+    if processes == 1:
+        yield from (_census_shard(node, *work) for node in nodes)
+        return
+    # imported here: it is costly to import and serial runs never need it
+    from multiprocessing import Pool
+
+    with Pool(processes, _serve, work) as pool:
+        yield from pool.imap(_served_shard, nodes)
+
+
+def _slid_minors(t, j, memo):
+    """t's j-minors by slides, each mapped to its number of deletion
+    sequences, as taquin._minors gives them.  ``memo`` keeps every minor's
+    own, which the candidates mostly share; j is fixed by t's size."""
+    if not j:
+        return {t: 1}
+    if t not in memo:
+        memo[t] = level = {}
+        for s, run in _one_minors(t):
+            for m, count in _slid_minors(s, j - 1, memo).items():
+                level[m] = level.get(m, 0) + run * count
+    return memo[t]
 
 
 def census(n: int, k: int = 1, mode: str = "set", jobs: int = 1) -> CensusReport:
@@ -203,8 +242,10 @@ def census(n: int, k: int = 1, mode: str = "set", jobs: int = 1) -> CensusReport
 
     The shards, the subtrees below the tableaux of size min(_SHARD_DEPTH,
     n - 1), are spread across ``jobs`` processes (at most one per shard
-    and CPU); the merge sorts classes by deck text and members
-    canonically, so the report is identical for any worker count.
+    and CPU).  A key that several tableaux share only marks candidates,
+    which are grouped by their k-minors built by slides, so a class
+    depends on neither the hash nor the walk.  Classes are sorted by deck
+    text and members canonically, so the report is the same for any jobs.
     """
     if n < 1:
         raise OutOfRangeError(f"census needs n >= 1, got {n}")
@@ -218,35 +259,39 @@ def census(n: int, k: int = 1, mode: str = "set", jobs: int = 1) -> CensusReport
     expected = involution_count(n)
     # 1-minor words of each tableau of sizes n - 1 .. n - k + 1, built once
     tables = [dict(_deck_walk(size)) for size in range(n - 1, n - k, -1)]
-    args = [(node, n, mode, tables) for node in _shards(n)]
-    processes = min(jobs, len(args), os.cpu_count() or 1)
-    if processes == 1:
-        shards = (_census_shard(*a) for a in args)
-    else:
-        # imported here: it is costly to import and serial runs never need it
-        from multiprocessing import Pool
-
-        with Pool(processes=processes) as pool:
-            shards = pool.starmap(_census_shard, args)
-    groups: dict[object, list[int]] = {}
-    for shard in shards:
-        for key, word in shard:
-            groups.setdefault(key, []).append(word)
-    total = sum(len(g) for g in groups.values())
+    nodes = _shards(n)
+    processes = min(jobs, len(nodes), os.cpu_count() or 1)
+    shards, counts = [], Counter()
+    for keys in _run_shards(nodes, (n, mode, tables), processes):
+        shards.append(keys)
+        counts.update(keys)
+    total = sum(map(len, shards))
     if total != expected:
         raise VerificationError(
             f"enumerated {total} tableaux at n={n}, recurrence says {expected}"
         )
-    minors = minor_set if mode == "set" else minor_multiset
+    shared = {key for key, count in counts.items() if count > 1}
+    memo: dict = {}
+    groups: dict[frozenset, list[StandardTableau]] = {}  # deck -> members
+    # a shard holding a shared key is walked again, for its tableaux' words
+    for node, keys in zip(nodes, shards):
+        if shared.isdisjoint(keys):
+            continue
+        for key, (word, _) in zip(keys, _deck_walk(n, node)):
+            if key in shared:
+                t = _tableau_of(word, n, _WIDTH)
+                level = _slid_minors(t, k, memo)
+                cards = frozenset(level if mode == "set" else level.items())
+                groups.setdefault(cards, []).append(t)
+    deck = Deck if mode == "set" else DeckMultiset
     classes = sorted(
-        (
-            tuple(sorted(_tableau_of(word, n, _WIDTH) for word in group))
-            for group in groups.values()
-            if len(group) >= 2
-        ),
-        key=lambda cls: minors(cls[0], k).to_text(),
+        (deck(cards, k, n).to_text(), tuple(sorted(group)))
+        for cards, group in groups.items()
+        if len(group) >= 2
     )
-    return CensusReport(n=n, k=k, mode=mode, classes=tuple(classes), total=total)
+    return CensusReport(
+        n=n, k=k, mode=mode, classes=tuple(c for _, c in classes), total=total
+    )
 
 
 def proposition_pair(n: int) -> tuple[StandardTableau, StandardTableau]:

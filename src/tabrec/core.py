@@ -84,9 +84,8 @@ class _Record:
 
 # most tableaux an exhaustive walk covers: all of 𝒴ₙ for census and the
 # suites (n <= 13), one shape (of at most as many cells) for enumerate_syt;
-# census time grows ~4x per size (set mode, 2-core Xeon: 0.2 s at n = 11,
-# 1.4 s at n = 12 and 5.8 s with 309 MB peak RSS at n = 13, the last two by
-# the CLI)
+# census time grows ~4x per size (set mode, 2-core Xeon, by the CLI: 0.2 s
+# at n = 11, 0.55 s at n = 12, and 2.1-2.7 s with 64 MB peak RSS at n = 13)
 CENSUS_CAP = 10**6
 # most entries enumerate_syt holds, f^shape * n: every shape with n <= 15
 # fits; near the bound (3161, 1) peaks at 92 MB, (7,3,2,2,1,1) at 254 MB

@@ -8,7 +8,7 @@ hooks and their transposes, (3,2) and (2,2,1).  The loop reduces level
 by level down to a base shape, then puts each level's n back at its
 located cell, but stops early once a lone member of T - n's shape
 passes the re-check with the located n's put back.  A level maps each
-member's packed row word (as in taquin._add) to its shape, so no level
+member's packed row word (as in taquin._grow) to its shape, so no level
 is decoded into tableaux.  The candidate is re-checked by comparing its
 1-minors' words, from one slide per run (taquin._minor_counts), with the
 input's.  The pipeline is complete for n >= 5; for n <= 4 exhaustive

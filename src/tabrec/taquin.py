@@ -100,9 +100,10 @@ def slide_path(tableau: StandardTableau, m: int) -> tuple[Cell, ...]:
 _ROOT = (0, (), [], [])
 
 
-def _add(node, r: int, width: int, leaf: bool = False):
-    """The tableau grown from ``node`` by its next entry n at the end of
-    0-based row ``r``, as a walk node, or with ``leaf`` as (word, minors).
+def _grow(node, width: int, leaf: bool = False) -> list:
+    """The tableaux grown from ``node`` by its next entry n at each cell
+    that can take it, top row first, as walk nodes, or with ``leaf`` as
+    (word, minors).
 
     A word holds the 0-based row of entry v in bits width*(v-1) to
     width*v - 1, so at most 2**width rows; minors[m - 1] is the word of
@@ -114,28 +115,33 @@ def _add(node, r: int, width: int, leaf: bool = False):
     """
     word, lens, minors, ends = node
     p = len(minors)
-    col = lens[r] if r < len(lens) else 0
-    cell = col << width | r
-    if r:
-        up = cell - 1
-        here = r << width * (p - 1)  # bits of the new entry n - 1 in T - m
-        above = here - (1 << width * (p - 1))
-        kids = [m | (above if q == up else here) for m, q in zip(minors, ends)]
-    else:  # n - 1 lands in row 0 of every T - m, so no word changes
-        up = -1
-        kids = minors[:]
-    kids.append(word)
-    grown = word | r << width * p
-    if leaf:
-        return grown, kids
-    left = cell - (1 << width)
-    kid_ends = [cell if q == left or q == up else q for q in ends]
-    kid_ends.append(cell)
-    return grown, lens[:r] + (col + 1,) + lens[r + 1:], kids, kid_ends
+    grown = []
+    for r, col in enumerate(lens + (0,)):
+        if r and lens[r - 1] == col:
+            continue  # the row above is no longer, so no cell here
+        cell = col << width | r
+        if r:
+            up = cell - 1
+            here = r << width * (p - 1)  # bits of the new entry n - 1 in T - m
+            above = here - (1 << width * (p - 1))
+            kids = [m | (above if q == up else here) for m, q in zip(minors, ends)]
+        else:  # n - 1 lands in row 0 of every T - m, so no word changes
+            up = -1
+            kids = minors[:]
+        kids.append(word)
+        child = word | r << width * p
+        if leaf:
+            grown.append((child, kids))
+            continue
+        left = cell - (1 << width)
+        kid_ends = [cell if q == left or q == up else q for q in ends]
+        kid_ends.append(cell)
+        grown.append((child, lens[:r] + (col + 1,) + lens[r + 1:], kids, kid_ends))
+    return grown
 
 
 def _minor_counts(tableau: StandardTableau, width: int) -> dict:
-    """Each 1-minor's packed row word (as in _add) mapped to the number of
+    """Each 1-minor's packed row word (as in _grow) mapped to the number of
     entries whose deletion gives it, by one slide per run (see _minors).
 
     T - m's word is T's with m's bits cut out and the higher entries

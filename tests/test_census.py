@@ -16,7 +16,7 @@ from itertools import combinations
 import pytest
 
 from tabrec.census import CENSUS_CAP, MAX_HBOUND_N, _WIDTH, _deck_walk
-from tabrec.census import _ROOT, _children, _shards
+from tabrec.census import _ROOT, _shards
 from tabrec.census import (
     CensusReport,
     ResourceLimitError,
@@ -32,6 +32,7 @@ from tabrec.census import (
 from tabrec.core import StandardTableau, TableauError, enumerate_syt_all
 from tabrec.reconstruct import Invalid, TooSmallError
 from tabrec.taquin import (
+    _grow,
     _tableau_of,
     Deck,
     DeckMultiset,
@@ -128,16 +129,22 @@ def slide_classes(n, k, mode):
     )
 
 
-def test_census_k_minor_classes_match_slide_decks():
-    # the census keys k >= 2 by words from the walk alone, so the oracle
+def test_census_k_minor_classes_match_slide_decks(monkeypatch):
+    # the census keys every k by hashed words from the walk, so the oracle
     # is slide-based deletion: a set key that kept counts, a multiset key
-    # that dropped them, or one level too few would each regroup some case
-    for n in range(3, 8):
-        for k in range(2, n):
+    # that dropped them, or one level too few would each split some class.
+    # With one key for every tableau, all of 𝒴ₙ are candidates, and a
+    # merge that trusted the hash would report them as one class
+    for n in range(2, 8):
+        for k in range(1, n):
             for mode in ("set", "multiset"):
+                expected = slide_classes(n, k, mode)
                 report = census(n, k, mode)
                 assert report.total == involution_count(n)
-                assert report.classes == slide_classes(n, k, mode), (n, k, mode)
+                assert report.classes == expected, (n, k, mode)
+                with monkeypatch.context() as patch:
+                    patch.setattr(census_module, "hash", lambda key: 0, raising=False)
+                    assert census(n, k, mode).classes == expected, (n, k, mode)
     assert len(slide_classes(7, 3, "set")) == 40
     assert len(slide_classes(7, 5, "multiset")) == 48
     for mode in ("set", "multiset"):
@@ -146,9 +153,27 @@ def test_census_k_minor_classes_match_slide_decks():
             assert census(7, 3, mode, jobs).classes == expected, (mode, jobs)
 
 
+# collision classes of the k-minor census, (set, multiset) at n = 4..9
+K_MINOR_CLASS_COUNTS = {
+    1: [(1, 1), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)],
+    2: [(1, 1), (3, 2), (4, 0), (2, 0), (0, 0), (0, 0)],
+    3: [(1, 1), (1, 5), (5, 6), (40, 0), (39, 0), (6, 0)],
+    4: [None, (1, 1), (1, 13), (5, 20), (75, 0), (344, 0)],
+}
+
+
+def test_census_k_minor_class_counts():
+    # the k = 4 cells past n = 7 confirm hundreds of members by slides
+    for k, row in K_MINOR_CLASS_COUNTS.items():
+        for n, counts in enumerate(row, 4):
+            if counts is not None:
+                got = tuple(len(census(n, k, m).classes) for m in ("set", "multiset"))
+                assert got == counts, (n, k)
+
+
 def test_census_deterministic_across_jobs():
-    # at k = 2 the keys are k-minor words, built from word tables that go
-    # to the workers with their shards
+    # at k = 2 the keys hash k-minor words, built from word tables that
+    # each worker gets once, when it starts
     for k, mode in ((1, "set"), (2, "set"), (2, "multiset")):
         reports = [census(6, k, mode, jobs=j) for j in (1, 2, 8)]
         texts = {r.to_text() for r in reports}
@@ -320,8 +345,9 @@ def test_census_jobs_bounds(monkeypatch):
     class FakePool:
         """Runs the shards in this process and records the pool size."""
 
-        def __init__(self, processes):
+        def __init__(self, processes, initializer, initargs):
             started.append(processes)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -329,8 +355,8 @@ def test_census_jobs_bounds(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def starmap(self, fn, args):
-            return [fn(*a) for a in args]
+        def imap(self, fn, args):
+            return map(fn, args)
 
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     serial = census(6, 1, "set").to_text()
@@ -554,7 +580,7 @@ def test_cap_fits_the_row_packing():
     # follow the new-row child alone, so only this column's ancestors grow
     node = _ROOT
     for _ in range(largest - 1):
-        *_, node = _children(node)
+        *_, node = _grow(node, _WIDTH)
     [_, (word, minors)] = _deck_walk(largest, node)
     assert _tableau_of(word, largest, _WIDTH) == column
     shorter = StandardTableau([[v] for v in range(1, largest)])
