@@ -6,8 +6,9 @@ cell of the largest entry n (3.2, _locate), the deck of T - n (3.3,
 _reduce), and the shapes decided directly (3.6, _base): rows, columns,
 hooks and their transposes, (3,2) and (2,2,1).  The loop reduces level
 by level down to a base shape, then puts each level's n back at its
-located cell, but stops early once a lone member of T - n's shape
-passes the re-check with the located n's put back.  A level maps each
+located cell.  It stops early at the first level where one member can
+be T - n: the only member of T - n's shape, or the only one of that
+shape whose n-1 is not beside n's cell (_lone).  A level maps each
 member's packed row word (as in taquin._grow) to its shape, so no level
 is decoded into tableaux.  The candidate is re-checked by comparing its
 1-minors' words, from one slide per run (taquin._minor_counts), with the
@@ -237,8 +238,9 @@ def _reconstruct_inductive(deck: Deck | DeckMultiset) -> StandardTableau:
 
     Reduces the level down to a base shape, then inserts each level's n
     at its located cell, innermost first; but at the first level where
-    one member alone has T - n's shape, that member with the located n's
-    put back is tried once, and kept if it passes the re-check.  The
+    _lone picks a member for T - n, from the shapes and the cells of n-1
+    that _reduce gives, that member with the located n's put back is
+    tried once, and kept if it passes the re-check.  The
     candidate's 1-minors, as words packed at one width, must be the
     members' words; a multiset runs on its support, and its
     multiplicities are re-checked too.  Never falls back to exhaustive
@@ -259,7 +261,7 @@ def _reconstruct_inductive(deck: Deck | DeckMultiset) -> StandardTableau:
     while (base := _base(n, shape, level, width)) is None:
         tops, reduced = _reduce(n, level, width)
         cells.append(_locate(n, shape, tops))
-        if lone is None and (lone := _lone(shape, cells[-1], level)) is not None:
+        if lone is None and (lone := _lone(shape, cells[-1], level, tops)) is not None:
             with suppress(NotADeckError):  # one try per deck, one extra re-check
                 candidate = _insert(_tableau_of(lone, n - 1, width), cells)
                 return _recheck(candidate, words, cards, width)
@@ -268,12 +270,21 @@ def _reconstruct_inductive(deck: Deck | DeckMultiset) -> StandardTableau:
     return _recheck(_insert(base, cells), words, cards, width)
 
 
-def _lone(shape: Partition, cell: Cell, level: dict):
-    """Word of the lone member of ``level`` shaped ``shape`` less ``cell``, or None."""
+def _lone(shape: Partition, cell: Cell, level: dict, tops):
+    """Word of the one member of ``level`` that can be T - n, or None.
+
+    T - n has ``shape`` less ``cell``; of two or more such members, those
+    whose n-1 (tops, see _reduce) is left of or above ``cell`` are dropped.
+    Any other T - m of that shape has m outside n's run and a slide path
+    ending at ``cell``.  That path's last step moves n from ``cell`` into
+    the cell left of or above it, where the member's n-1 then sits.
+    """
     r, c = cell
     rest = shape[:r - 1] + (c - 1,) + shape[r:] if c > 1 else shape[:r - 1]
-    found = [word for word, s in level.items() if s == rest]
-    return found[0] if len(found) == 1 else None
+    found = [(word, top) for word, (s, top) in zip(level, tops) if s == rest]
+    if len(found) > 1:
+        found = [f for f in found if f[1] not in ((r, c - 1), (r - 1, c))]
+    return found[0][0] if len(found) == 1 else None
 
 
 def _insert(tableau: StandardTableau, cells) -> StandardTableau:

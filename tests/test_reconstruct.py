@@ -39,6 +39,7 @@ from tabrec.taquin import (
     NotADeckError,
     _minor_counts,
     _minors,
+    _tableau_of,
     _word_of,
     delete_entry,
     minor_multiset,
@@ -771,7 +772,7 @@ def test_lone_member_exits_at_the_top_deeper_and_at_base_shapes(monkeypatch):
 
     monkeypatch.setattr(reconstruct_module, "_lone", lone)
     monkeypatch.setattr(reconstruct_module, "_recheck", recheck)
-    exits = set()
+    exits = Counter()
     for t in list(enumerate_syt_all(10))[::5]:
         calls.clear()
         rechecks.clear()
@@ -780,8 +781,46 @@ def test_lone_member_exits_at_the_top_deeper_and_at_base_shapes(monkeypatch):
         assert len(rechecks) == 1
         assert all(word is None for word in calls[:-1])
         found = bool(calls) and calls[-1] is not None
-        exits.add("base" if not found else "top" if len(calls) == 1 else "deeper")
-    assert exits == {"top", "deeper", "base"}
+        exits["base" if not found else "top" if len(calls) == 1 else "deeper"] += 1
+    assert exits.keys() == {"top", "deeper", "base"}
+    assert exits["top"] == 1492  # of 1,900 decks
+
+
+def test_lone_picks_only_t_minus_n_and_finds_it_beside_no_n_minus_1(monkeypatch):
+    # outcome tests cannot see a wrong pick, which the re-check refuses,
+    # so each word _lone returns is decoded and compared with T - n
+    real = reconstruct_module._lone
+    calls = []
+
+    def lone(shape, *args):
+        calls.append((sum(shape), real(shape, *args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(reconstruct_module, "_lone", lone)
+    for n in range(5, 10):
+        bases = {(n,), (1,) * n, (n - 1, 1), (2,) + (1,) * (n - 2), (3, 2), (2, 2, 1)}
+        for t in enumerate_syt_all(n):
+            width = len(t.shape).bit_length()
+            minors = minor_set(t, 1)
+            r, c = t.cell_of(n)
+            shapes = [m.shape for m in minors.members]
+            alone = shapes.count(delete_entry(t, n).shape) == 1
+            beside = t.cell_of(n - 1) in ((r, c - 1), (r - 1, c))
+            for run, deck in (
+                (reconstruct_from_set, minors),
+                (reconstruct_from_multiset, minor_multiset(t, 1)),
+            ):
+                calls.clear()
+                assert run(deck) == Unique(t)
+                assert bool(calls) == (t.shape not in bases)
+                if calls and (alone or not beside):
+                    assert calls[0][1] is not None, t
+                level = t
+                for m, word in calls:
+                    while level.n > m:
+                        level = delete_entry(level, level.n)
+                    if word is not None:
+                        assert _tableau_of(word, m - 1, width) == delete_entry(level, m), t
 
 
 def test_invalid_deck_rechecks_at_most_twice(monkeypatch):
