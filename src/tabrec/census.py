@@ -33,6 +33,7 @@ from .reconstruct import (
     _locate,
     _reduce,
     _shape,
+    _tops,
     Ambiguous,
     Unique,
     TooSmallError,
@@ -464,7 +465,7 @@ def suite_max_location(max_n: int) -> list[str]:
     """Located cell of n matches the true cell, n = 4..max_n."""
 
     def check(t, level, width):
-        got = _locate(t.n, t.shape, _reduce(t.n, level, width)[0])
+        got = _locate(t.n, t.shape, _tops(t.n, level, width))
         if got != (want := t.cell_of(t.n)):
             yield f"location of {t.n} in {t.to_text()!r}: got {got}, want {want}"
 
@@ -478,7 +479,7 @@ def suite_deck_reduction(max_n: int) -> list[str]:
     def check(t, level, width):
         n = t.n
         direct = _level(minor_set(delete_entry(t, n), 1).members, width)
-        if _reduce(n, level, width)[1] != direct:
+        if _reduce(n, level, width) != direct:
             yield (
                 f"reduced deck of {t.to_text()!r} differs from the deck "
                 f"of its (n-1)-entry minor"

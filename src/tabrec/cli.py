@@ -64,6 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "reconstruction from decks of 1-minors.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    tableau_help = "tableau in text form, or - to read it from stdin"
 
     p = sub.add_parser(
         "enumerate", help="stream all standard tableaux of a given size"
@@ -76,14 +77,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("delete", help="delete one entry by jeu de taquin")
-    p.add_argument("--tableau", required=True, help="tableau in text form")
+    p.add_argument("--tableau", required=True, help=tableau_help)
     p.add_argument("--entry", type=int, required=True, help="entry to delete")
     p.add_argument(
         "--trace", action="store_true", help="also print the slide path"
     )
 
     p = sub.add_parser("minors", help="print the deck of k-minors")
-    p.add_argument("--tableau", required=True, help="tableau in text form")
+    p.add_argument("--tableau", required=True, help=tableau_help)
     p.add_argument("--k", type=int, default=1, help="minor order (default 1)")
     p.add_argument(
         "--multiset", action="store_true", help="count with multiplicity"
@@ -152,7 +153,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_delete(args) -> int:
-    tableau = StandardTableau.from_text(args.tableau)
+    text = sys.stdin.read() if args.tableau == "-" else args.tableau
+    tableau = StandardTableau.from_text(text)
     print(delete_entry(tableau, args.entry).to_text())
     if args.trace:
         steps = slide_path(tableau, args.entry)
@@ -161,7 +163,8 @@ def _cmd_delete(args) -> int:
 
 
 def _cmd_minors(args) -> int:
-    tableau = StandardTableau.from_text(args.tableau)
+    text = sys.stdin.read() if args.tableau == "-" else args.tableau
+    tableau = StandardTableau.from_text(text)
     minors = minor_multiset if args.multiset else minor_set
     print(minors(tableau, args.k).to_text())
     return 0

@@ -2,19 +2,19 @@
 
 Each lemma of the constructive pipeline has one core, which the loop and
 its verify suite in census both run: the shape (Lemma 3.1, _shape), the
-cell of the largest entry n (3.2, _locate), the deck of T - n (3.3,
-_reduce), and the shapes decided directly (3.6, _base): rows, columns,
-hooks and their transposes, (3,2) and (2,2,1).  The loop reduces level
-by level down to a base shape, then puts each level's n back at its
-located cell.  It stops early at the first level where one member can
-be T - n: the only member of T - n's shape, or the only one of that
-shape whose n-1 is not beside n's cell (_lone).  A level maps each
-member's packed row word (as in taquin._grow) to its shape, so no level
-is decoded into tableaux.  The candidate is re-checked by comparing its
-1-minors' words, from one slide per run (taquin._minor_counts), with the
-input's.  The pipeline is complete for n >= 5; for n <= 4 exhaustive
-search gives a total answer (Unique, Ambiguous with all candidates, or
-Invalid).
+cell of the largest entry n (3.2, _locate on _tops), the deck of T - n
+(3.3, _reduce), and the shapes decided directly (3.6, _base): rows,
+columns, hooks and their transposes, (3,2) and (2,2,1).  A level maps
+each member's packed row word (as in taquin._grow), summed from a mask
+per distinct row and index, to its shape.  The loop reduces level by
+level to a base shape, but stops at the first level where one member
+can be T - n: the only member of T - n's shape, or the only one of that
+shape whose n-1 is not beside n's cell (_lone).  The candidate's word is
+T - n's or the base's with each located n's row OR-ed in, decoded once;
+its 1-minors' words, from one slide per run (taquin._minor_counts), must
+be the input's.  The pipeline is complete for n >= 5; for n <= 4
+exhaustive search gives a total answer (Unique, Ambiguous with all
+candidates, or Invalid).
 """
 
 import functools
@@ -126,7 +126,7 @@ def _shape(n: int, shapes: set[Partition]) -> Partition:
 
 def _locate(n: int, shape: Partition, tops) -> Cell:
     """Lemma 3.2: the cell of n in a tableau of ``shape``, n >= 4, from
-    tops (see _reduce).  A lone outer corner holds n.  A corner showing
+    tops (see _tops).  A lone outer corner holds n.  A corner showing
     n-1 in two members holds n, and one that a member covers with a
     smaller entry cannot.  If neither test decides, the shape is a
     rectangle plus one cell, and that cell holds n."""
@@ -166,33 +166,46 @@ def _locate(n: int, shape: Partition, tops) -> Cell:
 
 
 def _level(members, width: int) -> dict:
-    """Each member's packed row word, ``width`` bits per entry, mapped to
-    its shape, in the members' order."""
-    return {_word_of(m, width): m.shape for m in members}
+    """Each member's packed row word mapped to its shape, in the members'
+    order: the sum of its rows' masks (the row's index in each entry's
+    field), each packed once per row and index, and at most 4 a member
+    kept, for a tall deck's distinct rows would hold quadratic bits."""
+    masks, level, kept = [{} for _ in range(1 << width)], {}, 0
+    for m in members:
+        word = 0
+        for r, row in enumerate(m.rows[1:], 1):
+            if (mask := (at := masks[r]).get(row)) is None:
+                mask = 0
+                for v in row:  # a loop, not sum(), costs no generator per row
+                    mask |= r << width * (v - 1)
+                if kept < 4 * len(members):
+                    at[row], kept = mask, kept + 1
+            word += mask
+        level[word] = m.shape
+    return level
 
 
-def _reduce(n: int, level: dict, width: int):
-    """Lemma 3.3 on a level of size-(n-1) members: (tops, reduced).  tops
-    lists each member's shape and the cell of its n-1, for _locate.
-    reduced is the level of T - n: n-1 ends its row in a corner of every
-    member, so deleting it is a mask and one shorter row, with no slide."""
+def _tops(n: int, level: dict, width: int) -> list:
+    """Each member's shape and the cell of its n-1, which ends its row."""
     shift = width * (n - 2)  # bits of each member's largest entry n-1
-    low = (1 << shift) - 1
-    tops, reduced = [], {}
-    for word, shape in level.items():
-        r = word >> shift
-        length = shape[r]
-        tops.append((shape, (r + 1, length)))
-        reduced[word & low] = (
-            shape[:r] + (length - 1,) + shape[r + 1:] if length > 1 else shape[:r]
-        )
-    return tops, reduced
+    return [(s, (r + 1, s[r])) for w, s in level.items() for r in [w >> shift]]
+
+
+def _reduce(n: int, level: dict, width: int) -> dict:
+    """Lemma 3.3: the level of T - n from a level of size-(n-1) members, each
+    less its n-1, which ends its row in a corner: a mask, with no slide."""
+    low = (1 << width * (n - 2)) - 1
+    return {
+        w & low: s[:r - 1] + (c - 1,) + s[r:] if c > 1 else s[:r - 1]
+        for w, (s, (r, c)) in zip(level, _tops(n, level, width))
+    }
 
 
 @functools.cache
 def _base_table(shape: Partition, width: int) -> dict:
     """Each tableau of ``shape``, keyed by the set of its 1-minors' words."""
-    return {frozenset(_minor_counts(t, width)): t for t in enumerate_syt(shape)}
+    tableaux = enumerate_syt(shape)
+    return {frozenset(_minor_counts(t, _word_of(t, width), width)): t for t in tableaux}
 
 
 def _base(n: int, shape: Partition, level: dict, width: int):
@@ -219,8 +232,7 @@ def _base(n: int, shape: Partition, level: dict, width: int):
             line = "column" if flip else "row"
             raise NoMatchError(f"no member shows a second-{line} entry")
         lone = (1, 2) if flip else (2, 1)
-        tops = _reduce(n, level, width)[0]
-        entry = n if _locate(n, shape, tops) == lone else max(seconds)
+        entry = n if _locate(n, shape, _tops(n, level, width)) == lone else max(seconds)
         rest = [v for v in range(2, n + 1) if v != entry]
         if flip:
             return StandardTableau._make([[1, entry]] + [[v] for v in rest])
@@ -236,13 +248,12 @@ def _base(n: int, shape: Partition, level: dict, width: int):
 def _reconstruct_inductive(deck: Deck | DeckMultiset) -> StandardTableau:
     """Pipeline of shape recovery, max location and level reduction.
 
-    Reduces the level down to a base shape, then inserts each level's n
-    at its located cell, innermost first; but at the first level where
-    _lone picks a member for T - n, from the shapes and the cells of n-1
-    that _reduce gives, that member with the located n's put back is
-    tried once, and kept if it passes the re-check.  The
-    candidate's 1-minors, as words packed at one width, must be the
-    members' words; a multiset runs on its support, and its
+    Locates each level's n from the members' shapes and cells of n-1
+    (_tops), reducing level by level down to a base shape, whose cells
+    then take each level's n; but at the first level where _lone picks a
+    member for T - n, that member with the located n's put back is tried
+    once.  The candidate's 1-minors, as words packed at one width, must be
+    the members' words; a multiset runs on its support, and its
     multiplicities are re-checked too.  Never falls back to exhaustive
     search, so a deck that is not a genuine 1-minor set surfaces as an
     error somewhere along the way.
@@ -259,22 +270,23 @@ def _reconstruct_inductive(deck: Deck | DeckMultiset) -> StandardTableau:
     words = level = _level(members, width)
     cells, lone = [], None
     while (base := _base(n, shape, level, width)) is None:
-        tops, reduced = _reduce(n, level, width)
+        tops = _tops(n, level, width)
         cells.append(_locate(n, shape, tops))
         if lone is None and (lone := _lone(shape, cells[-1], level, tops)) is not None:
             with suppress(NotADeckError):  # one try per deck, one extra re-check
-                candidate = _insert(_tableau_of(lone, n - 1, width), cells)
-                return _recheck(candidate, words, cards, width)
-        level, n = reduced, n - 1
+                candidate = _insert(lone, level[lone], cells, width)
+                return _recheck(*candidate, words, cards, width)
+        level, n = _reduce(n, level, width), n - 1
         shape = _shape(n, set(level.values()))
-    return _recheck(_insert(base, cells), words, cards, width)
+    candidate = _insert(_word_of(base, width), base.shape, cells, width)
+    return _recheck(*candidate, words, cards, width)
 
 
 def _lone(shape: Partition, cell: Cell, level: dict, tops):
     """Word of the one member of ``level`` that can be T - n, or None.
 
     T - n has ``shape`` less ``cell``; of two or more such members, those
-    whose n-1 (tops, see _reduce) is left of or above ``cell`` are dropped.
+    whose n-1 (tops, see _tops) is left of or above ``cell`` are dropped.
     Any other T - m of that shape has m outside n's run and a slide path
     ending at ``cell``.  That path's last step moves n from ``cell`` into
     the cell left of or above it, where the member's n-1 then sits.
@@ -287,27 +299,26 @@ def _lone(shape: Partition, cell: Cell, level: dict, tops):
     return found[0][0] if len(found) == 1 else None
 
 
-def _insert(tableau: StandardTableau, cells) -> StandardTableau:
-    """``tableau`` with the next entries put at ``cells``, last cell first."""
-    rows, n = [list(row) for row in tableau.rows], tableau.n
-    for cell in reversed(cells):
-        r, c = cell
-        n += 1
-        if r == len(rows) + 1 and c == 1:
-            rows.append([n])
-        elif 1 <= r <= len(rows) and c == len(rows[r - 1]) + 1:
-            rows[r - 1].append(n)
-        else:
+def _insert(word: int, lengths, cells, width: int):
+    """(tableau, word) for packed row word ``word`` of row ``lengths`` with
+    the next entries' rows, from ``cells``, last first, OR-ed in."""
+    lengths, n = list(lengths), sum(lengths)
+    for v, (r, c) in enumerate(reversed(cells), n):  # v + 1 goes at (r, c)
+        if r == len(lengths) + 1 and c == 1:
+            lengths.append(0)
+        if not (1 <= r <= len(lengths) and c == lengths[r - 1] + 1):
             raise NotADeckError(
-                f"cell {cell} is not addable to shape {tuple(map(len, rows))}"
+                f"cell {(r, c)} is not addable to shape {tuple(lengths)}"
             )
-    return StandardTableau._make(rows)
+        lengths[r - 1] = c
+        word |= (r - 1) << width * v
+    return _tableau_of(word, n + len(cells), width), word
 
 
-def _recheck(candidate: StandardTableau, words: dict, cards, width: int):
-    """``candidate``, if its 1-minors' words and their counts, from one
-    slide per run (taquin._minor_counts), match ``words`` and ``cards``."""
-    counts = _minor_counts(candidate, width)
+def _recheck(candidate: StandardTableau, word: int, words: dict, cards, width: int):
+    """``candidate``, of packed row word ``word``, if its 1-minors' words and
+    their counts (taquin._minor_counts) match ``words`` and ``cards``."""
+    counts = _minor_counts(candidate, word, width)
     if counts.keys() != words.keys():
         raise NotADeckError("reconstructed candidate has a different deck")
     # distinct members have distinct words, so words lines up with cards

@@ -140,16 +140,16 @@ def _grow(node, width: int, leaf: bool = False) -> list:
     return grown
 
 
-def _minor_counts(tableau: StandardTableau, width: int) -> dict:
+def _minor_counts(tableau: StandardTableau, word: int, width: int) -> dict:
     """Each 1-minor's packed row word (as in _grow) mapped to the number of
     entries whose deletion gives it, by one slide per run (see _minors).
 
-    T - m's word is T's with m's bits cut out and the higher entries
-    shifted down one place; then each entry the hole passes on a down
-    step moves up one row.  The hole only meets cells it has not yet
+    T - m's word is T's, ``word``, with m's bits cut out and the higher
+    entries shifted down one place; then each entry the hole passes on a
+    down step moves up one row.  The hole only meets cells it has not yet
     passed, so the slide reads T's own rows, and an empty one below them.
     """
-    rows, word = tableau.rows + ((),), _word_of(tableau, width)
+    rows = tableau.rows + ((),)
     counts: dict = {}
     for m, (i, j), run in _segment_ends(tableau):
         if not run:

@@ -453,7 +453,7 @@ def no_multiset_classes(n):
          "shape of '1 2 3': got (9,), want (3,)"),
         ("lemma3.2", "_locate", lambda n, shape, tops: (9, 9), 36,
          "location of 4 in '1 2 3 4': got (9, 9), want (1, 4)"),
-        ("lemma3.3", "_reduce", lambda n, level, width: ([], level), 42,
+        ("lemma3.3", "_reduce", lambda n, level, width: level, 42,
          "reduced deck of '1 2' differs from the deck of its (n-1)-entry minor"),
         ("lemma3.3", "delete_entry", wrong_delete, 28,
          "double deletion from '1 2 4 / 3' depends on the order of removing "

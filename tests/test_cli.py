@@ -115,6 +115,27 @@ def test_minors_bad_tableau(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["minors", "--k", "2", "--multiset"],
+        ["minors"],
+        ["delete", "--entry", "2", "--trace"],
+    ],
+)
+@pytest.mark.parametrize(
+    "tableau", ["1 2 7 8 / 3 5 9 / 4 / 6", "2 1", "1 2 / 3", "x"]
+)
+def test_tableau_dash_reads_stdin_as_the_argument_reads(
+    capsys, monkeypatch, argv, tableau
+):
+    direct = invoke(capsys, *argv, "--tableau", tableau)
+    # stdin may carry the text over several lines, with a newline at the end
+    feed(monkeypatch, tableau.replace(" / ", "\n/ ") + "\n")
+    assert invoke(capsys, *argv, "--tableau", "-") == direct
+    assert direct[0] == (1 if tableau in ("2 1", "x") else 0)
+
+
 def test_reconstruct_unique(capsys, monkeypatch):
     deck = minor_set(StandardTableau.from_text("1 3 5 / 2 4"), 1)
     feed(monkeypatch, deck.to_text())

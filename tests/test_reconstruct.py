@@ -11,6 +11,7 @@ the acceptance suite.
 
 import importlib
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -24,6 +25,7 @@ from tabrec.reconstruct import (
     _locate,
     _reduce,
     _shape,
+    _tops,
     Ambiguous,
     Invalid,
     NoMatchError,
@@ -74,13 +76,13 @@ def shape_of(deck):
 def locate(deck):
     """Lemma 3.2's core on ``deck``, at the shape Lemma 3.1 recovers."""
     n, level, width = packed(deck)
-    return _locate(n, shape_of(deck), _reduce(n, level, width)[0])
+    return _locate(n, shape_of(deck), _tops(n, level, width))
 
 
 def reduces_to(deck, smaller):
     """Whether Lemma 3.3's core turns ``deck`` into the level of ``smaller``."""
     n, level, width = packed(deck)
-    return _reduce(n, level, width)[1] == _level(smaller.members, width)
+    return _reduce(n, level, width) == _level(smaller.members, width)
 
 
 def base_of(deck, shape):
@@ -453,7 +455,7 @@ def checked_base(deck, shape):
     result's 1-minor words must be the level's."""
     n, level, width = packed(deck)
     t = _base(n, shape, level, width)
-    if t is not None and _minor_counts(t, width).keys() != level.keys():
+    if t is not None and _minor_counts(t, _word_of(t, width), width).keys() != level.keys():
         raise NotADeckError(RECHECK)
     return t
 
@@ -512,7 +514,7 @@ def reference_inductive(deck):
     base = reference_base(deck, shape)
     if base is not None:
         return base
-    r, c = _locate(n, shape, _reduce(n, level, width)[0])
+    r, c = _locate(n, shape, _tops(n, level, width))
     reduced = Deck((delete_entry(m, n - 1) for m in deck), 1, n - 1)
     rows = [list(row) for row in reference_inductive(reduced).rows]
     if r == len(rows) + 1 and c == 1:
@@ -619,7 +621,7 @@ def test_minor_counts_match_delete_entry_at_every_width():
     for t in small + tableaux:
         least = len(t.shape).bit_length()
         for width in {least, max(least, 4)}:
-            assert _minor_counts(t, width) == Counter(
+            assert _minor_counts(t, _word_of(t, width), width) == Counter(
                 _word_of(delete_entry(t, m), width) for m in range(1, t.n + 1)
             ), (t.to_text(), width)
 
@@ -843,3 +845,77 @@ def test_invalid_deck_rechecks_at_most_twice(monkeypatch):
             if isinstance(run(d), Invalid):
                 most = max(most, len(calls))
     assert most == 2
+
+
+def test_level_packs_rows_as_the_per_entry_words():
+    # _level packs each distinct row once; _word_of packs entry by entry
+    decks = []
+    for n in range(1, 10):
+        for t in enumerate_syt_all(n):
+            deck, cards = minor_set(t, 1), minor_multiset(t, 1)
+            # read back, members share one tuple per distinct row text
+            read = Deck.from_text(deck.to_text()).members
+            read_cards = DeckMultiset.from_text(cards.to_text()).cards
+            width = len(t.shape).bit_length()
+            decks += [(deck.members, width), (read, width)]
+            decks += [([m for m, _ in c], width) for c in (cards.cards, read_cards)]
+    tableaux = grown_tableaux()
+    assert max(len(t.shape) for t in tableaux) > 16
+    for t in tableaux:
+        least = len(t.shape).bit_length()
+        decks += [(minor_set(t, 1).members, width) for width in {least, 8}]
+    for members, width in decks:
+        assert _level(members, width) == {
+            _word_of(m, width): m.shape for m in members
+        }, (members[0].to_text(), width)
+
+
+def test_level_memo_keeps_few_masks_on_a_tall_deck():
+    # every row of a column is distinct, and row v's mask has 12 * (v - 1)
+    # bits: keeping them all would peak near 6.7 MB; the 4,096 per-row-index
+    # memos and a few 4.5 KB words take about 0.3 MB
+    t = StandardTableau._make([v] for v in range(1, 3001))
+    members = minor_set(t, 1).members
+    tracemalloc.start()
+    try:
+        level = _level(members, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert level == {_word_of(m, 12): m.shape for m in members}
+    assert peak < 1_000_000
+
+
+def test_exit_hands_the_recheck_the_candidate_word(monkeypatch):
+    # the candidate's word is built from T - n's, not packed from the
+    # candidate, so the word the re-check reads must be T's own
+    for shape in ((3, 2), (2, 2, 1)):  # warm the cached base decks
+        for width in range(1, 5):
+            reconstruct_module._base_table(shape, width)
+    real = reconstruct_module._minor_counts
+    calls = []
+
+    def minor_counts(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(reconstruct_module, "_minor_counts", minor_counts)
+    for n in range(5, 10):
+        for t in enumerate_syt_all(n):
+            width = len(t.shape).bit_length()
+            for run, deck in (
+                (reconstruct_from_set, minor_set(t, 1)),
+                (reconstruct_from_multiset, minor_multiset(t, 1)),
+            ):
+                calls.clear()
+                assert run(deck) == Unique(t)
+                assert calls == [(t, _word_of(t, width), width)], t.to_text()
+
+
+def test_unaddable_cell_is_reported_with_the_shape():
+    deck = Deck.from_text(
+        "deck k=1 n=5 size=4\n1 2 / 3 / 4\n1 3 / 2 / 4\n1 4 / 2 / 3\n1 2 4 / 3"
+    )
+    assert reconstruct_from_set(deck) == Invalid(
+        "cell (3, 1) is not addable to shape (2, 1, 1)"
+    )
