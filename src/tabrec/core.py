@@ -231,9 +231,11 @@ class _RowMemo(dict):
         """``StandardTableau.from_text(text)`` with the rows read through
         the memo, so only the checks that span rows run per text.  A text
         these refuse is read again by ``from_text``, which raises its own
-        error or accepts it (the empty tableau)."""
+        error or accepts it (the empty tableau).  Rows are split at " / ",
+        as to_text joins them, so a row's text is the same wherever it
+        sits; with other spacing a "/" stays in a row text and fails it."""
         try:
-            rows = tuple(map(self.__getitem__, text.split("/")))
+            rows = tuple(map(self.__getitem__, text.split(" / ")))
         except ValueError:
             return StandardTableau.from_text(text)
         shape = tuple(map(len, rows))

@@ -2,23 +2,21 @@
 
 Each lemma of the constructive pipeline has one core, which the loop and
 its verify suite in census both run: the shape (Lemma 3.1, _shape), the
-cell of the largest entry n (3.2, _locate on _tops), the deck of T - n
-(3.3, _reduce), and the shapes decided directly (3.6, _base): rows,
-columns, hooks and their transposes, (3,2) and (2,2,1).  A level maps
-each member's packed row word (as in taquin._grow), summed from a mask
-per distinct row and index, to its shape.  The loop reduces level by
-level to a base shape, but stops at the first level where one member
-can be T - n: the only member of T - n's shape, or the only one of that
-shape whose n-1 is not beside n's cell (_lone).  The candidate's word is
-T - n's or the base's with each located n's row OR-ed in, decoded once;
-its 1-minors' words, from one slide per run (taquin._minor_counts), must
-be the input's.  The pipeline is complete for n >= 5; for n <= 4
-exhaustive search gives a total answer (Unique, Ambiguous with all
-candidates, or Invalid).
+cell of the largest entry n (3.2, _locate on _tops) and the deck of T - n
+(3.3, _reduce).  A level maps each member's packed row word (as in
+taquin._grow), summed from a mask per distinct row and index, to its
+shape.  The loop reduces level by level until one member can be T - n:
+the only member of T - n's shape, or the only one of that shape whose
+n-1 is not beside n's cell (_lone).  From its second level on, the loop
+on T's deck is the loop on T - n's, so as it finds T - n on every size-5
+deck, it finds it on every genuine deck, and the shapes Lemma 3.6 decides
+directly need no case of their own.  The candidate's word is T - n's
+with each located n's row OR-ed in, decoded once; its 1-minors' words,
+from one slide per run (taquin._minor_counts), must be the input's.  The
+pipeline is complete for n >= 5; for n <= 4 exhaustive search gives a
+total answer (Unique, Ambiguous with all candidates, or Invalid).
 """
 
-import functools
-from contextlib import suppress
 from itertools import zip_longest
 
 from .core import (
@@ -26,7 +24,6 @@ from .core import (
     Partition,
     StandardTableau,
     TableauError,
-    enumerate_syt,
     enumerate_syt_all,
     is_rectangular,
     _Record,
@@ -37,7 +34,6 @@ from .taquin import (
     NotADeckError,
     _minor_counts,
     _tableau_of,
-    _word_of,
     minor_multiset,
     minor_set,
 )
@@ -45,10 +41,6 @@ from .taquin import (
 
 class TooSmallError(TableauError):
     """Tableau size below the operation's range."""
-
-
-class NoMatchError(TableauError):
-    """Deck matches no tableau of the given base shape."""
 
 
 class Unique(_Record):
@@ -201,62 +193,17 @@ def _reduce(n: int, level: dict, width: int) -> dict:
     }
 
 
-@functools.cache
-def _base_table(shape: Partition, width: int) -> dict:
-    """Each tableau of ``shape``, keyed by the set of its 1-minors' words."""
-    tableaux = enumerate_syt(shape)
-    return {frozenset(_minor_counts(t, _word_of(t, width), width)): t for t in tableaux}
-
-
-def _base(n: int, shape: Partition, level: dict, width: int):
-    """Lemma 3.6: the tableau of a base shape from its level, or None for
-    any other shape.  A row or column fills one way; a hook's cell off
-    the long line holds n if n is located there, else the largest entry
-    a member shows there; (3,2) and (2,2,1) are matched against the decks
-    of their five tableaux.  The loop re-checks every result's deck."""
-    if shape == (n,):
-        return StandardTableau._make([range(1, n + 1)])
-    if shape == (1,) * n:
-        return StandardTableau._make([v] for v in range(1, n + 1))
-    if n >= 4 and (shape == (n - 1, 1) or shape == (2,) + (1,) * (n - 2)):
-        # the cell off the long line is (1,2) if the hook is transposed;
-        # _locate commutes with transposition, so no member is transposed
-        flip = shape[0] == 2
-        seconds = [
-            t.rows[0][1] if flip else t.rows[1][0]
-            for w, s in level.items()
-            if (s[0] if flip else len(s)) == 2
-            for t in [_tableau_of(w, n - 1, width)]
-        ]
-        if not seconds:
-            line = "column" if flip else "row"
-            raise NoMatchError(f"no member shows a second-{line} entry")
-        lone = (1, 2) if flip else (2, 1)
-        entry = n if _locate(n, shape, _tops(n, level, width)) == lone else max(seconds)
-        rest = [v for v in range(2, n + 1) if v != entry]
-        if flip:
-            return StandardTableau._make([[1, entry]] + [[v] for v in rest])
-        return StandardTableau._make([[1] + rest, [entry]])
-    if shape == (3, 2) or shape == (2, 2, 1):
-        found = _base_table(shape, width).get(frozenset(level))
-        if found is None or found.n != n:
-            raise NoMatchError("deck matches none of the five shape-(3,2) decks")
-        return found
-    return None
-
-
 def _reconstruct_inductive(deck: Deck | DeckMultiset) -> StandardTableau:
     """Pipeline of shape recovery, max location and level reduction.
 
     Locates each level's n from the members' shapes and cells of n-1
-    (_tops), reducing level by level down to a base shape, whose cells
-    then take each level's n; but at the first level where _lone picks a
-    member for T - n, that member with the located n's put back is tried
-    once.  The candidate's 1-minors, as words packed at one width, must be
-    the members' words; a multiset runs on its support, and its
+    (_tops) and reduces level by level, until _lone picks a member for
+    T - n; that member with the located n's put back is the one
+    candidate.  Its 1-minors, as words packed at one width, must be the
+    members' words; a multiset runs on its support, and its
     multiplicities are re-checked too.  Never falls back to exhaustive
-    search, so a deck that is not a genuine 1-minor set surfaces as an
-    error somewhere along the way.
+    search: a deck that is not a genuine 1-minor set raises at the first
+    check it fails, at the latest at a level too small to locate n.
     """
     _check_one_minor_deck(deck)
     cards = deck.cards if isinstance(deck, DeckMultiset) else ()
@@ -268,18 +215,15 @@ def _reconstruct_inductive(deck: Deck | DeckMultiset) -> StandardTableau:
     # at most len(shape) < 2**width
     width = len(shape).bit_length()
     words = level = _level(members, width)
-    cells, lone = [], None
-    while (base := _base(n, shape, level, width)) is None:
+    cells = []
+    while True:
         tops = _tops(n, level, width)
         cells.append(_locate(n, shape, tops))
-        if lone is None and (lone := _lone(shape, cells[-1], level, tops)) is not None:
-            with suppress(NotADeckError):  # one try per deck, one extra re-check
-                candidate = _insert(lone, level[lone], cells, width)
-                return _recheck(*candidate, words, cards, width)
+        if (lone := _lone(shape, cells[-1], level, tops)) is not None:
+            candidate = _insert(lone, level[lone], cells, width)
+            return _recheck(*candidate, words, cards, width)
         level, n = _reduce(n, level, width), n - 1
         shape = _shape(n, set(level.values()))
-    candidate = _insert(_word_of(base, width), base.shape, cells, width)
-    return _recheck(*candidate, words, cards, width)
 
 
 def _lone(shape: Partition, cell: Cell, level: dict, tops):

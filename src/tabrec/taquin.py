@@ -156,27 +156,15 @@ def _minor_counts(tableau: StandardTableau, word: int, width: int) -> dict:
             continue
         low = width * (m - 1)
         minor = (word & (1 << low) - 1) | (word >> low + width) << low
-        row = rows[i]
-        while True:
-            below = rows[i + 1]
-            if j + 1 < len(row) and (j >= len(below) or row[j + 1] < below[j]):
+        row, below = rows[i], rows[i + 1]
+        while j < len(below):  # past below's end the hole only moves right
+            if j + 1 < len(row) and row[j + 1] < below[j]:
                 j += 1
-            elif j < len(below):
-                minor -= 1 << width * (below[j] - 2)
-                i, row = i + 1, below
             else:
-                break
+                minor -= 1 << width * (below[j] - 2)
+                i, row, below = i + 1, below, rows[i + 2]
         counts[minor] = counts.get(minor, 0) + run
     return counts
-
-
-def _word_of(tableau: StandardTableau, width: int) -> int:
-    """The packed row word of ``tableau``, ``width`` bits per entry."""
-    return sum(
-        r << width * (v - 1)
-        for r, row in enumerate(tableau.rows[1:], 1)
-        for v in row
-    )
 
 
 def _tableau_of(word: int, n: int, width: int) -> StandardTableau:

@@ -458,8 +458,8 @@ def no_multiset_classes(n):
         ("lemma3.3", "delete_entry", wrong_delete, 28,
          "double deletion from '1 2 4 / 3' depends on the order of removing "
          "the top two entries"),
-        ("lemma3.6", "_base", lambda n, shape, level, width: text("1"), 32,
-         "base reconstruction of '1 2' failed"),
+        ("lemma3.6", "reconstruct_from_set", lambda deck: Invalid("wrong"), 20,
+         "round trip of '1 2 3 4 5': invalid wrong"),
         ("theorem3.7", "reconstruct_from_set", lambda deck: Invalid("wrong"), 26,
          "round trip of '1 2 3 4 5': invalid wrong"),
         ("section4", "reconstruct_from_multiset", lambda deck: Invalid("wrong"),
@@ -483,7 +483,7 @@ def test_suites_report_wrong_answers(
 @pytest.mark.parametrize(
     "suite, name, count",
     [("lemma3.1", "_shape", 40), ("lemma3.2", "_locate", 36),
-     ("lemma3.3", "_reduce", 42), ("lemma3.6", "_base", 33)],
+     ("lemma3.3", "_reduce", 42)],
 )
 def test_suites_name_the_tableau_a_core_raises_on(monkeypatch, suite, name, count):
     real_levels, real_core = census_module._levels, getattr(census_module, name)

@@ -318,3 +318,14 @@ def test_deck_text_members_share_rows():
     ):
         member_rows = [row for member in deck for row in member.rows]
         assert len({id(row) for row in member_rows}) * 5 < len(member_rows)
+
+
+def test_deck_text_members_hold_one_tuple_per_distinct_row():
+    # " 2 " in `1 / 2 / 3` and " 2" in `1 3 / 2` are one row, `2`
+    t = StandardTableau.from_text("1 3 / 2 / 4")
+    for deck in (
+        Deck.from_text(minor_set(t).to_text()),
+        DeckMultiset.from_text(minor_multiset(t).to_text()).support(),
+    ):
+        member_rows = [row for member in deck for row in member.rows]
+        assert len({id(row) for row in member_rows}) == len(set(member_rows))

@@ -1,5 +1,5 @@
-"""Shape recovery, max location, deck reduction, base cases, and the
-full reconstruction pipeline for sets and multisets of 1-minors.
+"""Shape recovery, max location, deck reduction, and the full
+reconstruction pipeline for sets and multisets of 1-minors.
 
 The lemma tests run each lemma's one core, the function both the
 reconstruction loop and its verify suite call, on a Deck packed into
@@ -19,7 +19,6 @@ import pytest
 from tabrec.core import StandardTableau, enumerate_syt, enumerate_syt_all
 from tabrec.core import TableauError
 from tabrec.reconstruct import (
-    _base,
     _check_one_minor_deck,
     _level,
     _locate,
@@ -28,7 +27,6 @@ from tabrec.reconstruct import (
     _tops,
     Ambiguous,
     Invalid,
-    NoMatchError,
     TooSmallError,
     Unique,
     format_outcome,
@@ -42,7 +40,6 @@ from tabrec.taquin import (
     _minor_counts,
     _minors,
     _tableau_of,
-    _word_of,
     delete_entry,
     minor_multiset,
     minor_set,
@@ -83,12 +80,6 @@ def reduces_to(deck, smaller):
     """Whether Lemma 3.3's core turns ``deck`` into the level of ``smaller``."""
     n, level, width = packed(deck)
     return _reduce(n, level, width) == _level(smaller.members, width)
-
-
-def base_of(deck, shape):
-    """Lemma 3.6's core on ``deck``; None if ``shape`` is not a base shape."""
-    n, level, width = packed(deck)
-    return _base(n, shape, level, width)
 
 
 def test_shape_known_decks():
@@ -170,59 +161,6 @@ def test_reduce_exhaustive():
     for n in range(2, 9):
         for t in enumerate_syt_all(n):
             assert reduces_to(minor_set(t, 1), minor_set(delete_entry(t, n), 1))
-
-
-def test_base_row_and_column():
-    assert base_of(deck_of("1 2 3 4"), (5,)) == text("1 2 3 4 5")
-    assert base_of(deck_of("1 / 2 / 3"), (1, 1, 1, 1)) == text(
-        "1 / 2 / 3 / 4"
-    )
-
-
-def test_base_row_plus_cell():
-    deck = minor_set(text("1 2 3 5 / 4"), 1)
-    assert base_of(deck, (4, 1)) == text("1 2 3 5 / 4")
-    # largest entry in the second row
-    deck = minor_set(text("1 2 3 4 / 5"), 1)
-    assert base_of(deck, (4, 1)) == text("1 2 3 4 / 5")
-    # transposed case
-    deck = minor_set(text("1 4 / 2 / 3 / 5"), 1)
-    assert base_of(deck, (2, 1, 1, 1)) == text("1 4 / 2 / 3 / 5")
-
-
-def test_base_32_and_transpose_table():
-    for t in enumerate_syt((3, 2)):
-        assert base_of(minor_set(t, 1), (3, 2)) == t
-    for t in enumerate_syt((2, 2, 1)):
-        assert base_of(minor_set(t, 1), (2, 2, 1)) == t
-
-
-def test_base_errors():
-    assert base_of(minor_set(text("1 2 3 / 4 / 5"), 1), (3, 1, 1)) is None
-    table = "deck matches none of the five shape-\\(3,2\\) decks"
-    with pytest.raises(NoMatchError, match=table):
-        base_of(deck_of("1 2 / 3 4", n=5), (3, 2))
-    # packed row words of size-6 members that spell the deck of 1 2 3 / 4 5
-    with pytest.raises(NoMatchError, match=table):
-        base_of(deck_of("1 2 5 / 3 4", "1 2 3 5 / 4"), (3, 2))
-    with pytest.raises(NoMatchError):
-        base_of(deck_of("1 2 3 4", n=5), (4, 1))
-    with pytest.raises(NotADeckError):
-        base_of(Deck([text("1 2")], 2, 4), (4,))
-
-
-def test_hook_errors_name_the_second_line():
-    # a hook deck with no two-row member, and its transpose with no
-    # two-column member: the reason names the line the rule reads
-    for deck, shape, line in (
-        (deck_of("1 2 3 4", n=5), (4, 1), "row"),
-        (deck_of("1 / 2 / 3 / 4", n=5), (2, 1, 1, 1), "column"),
-    ):
-        reason = f"no member shows a second-{line} entry"
-        for base in (base_of, reference_base):
-            with pytest.raises(NoMatchError) as caught:
-                base(deck, shape)
-            assert str(caught.value) == reason
 
 
 def test_from_set_published_outcomes():
@@ -348,8 +286,6 @@ def test_unchecked_tableaux_pass_validation():
         for t in enumerate_syt_all(n):
             built = [t]
             built.extend(delete_entry(t, m) for m in range(1, n + 1))
-            if n >= 1 and (base := base_of(minor_set(t, 1), t.shape)) is not None:
-                built.append(base)
             if n >= 5:
                 built.append(reconstruct_from_set(minor_set(t, 1)).tableau)
             for x in built:
@@ -359,164 +295,27 @@ def test_unchecked_tableaux_pass_validation():
                 assert hash(checked) == hash(x)
 
 
-# Lemma 3.6's five (3,2) tableaux and their decks, frozen as text
-BASE_32_TEXT = {
-    "1 2 3 / 4 5": ("1 2 / 3 4", "1 2 3 / 4"),
-    "1 2 4 / 3 5": ("1 3 / 2 4", "1 2 3 / 4", "1 2 / 3 4", "1 2 4 / 3"),
-    "1 3 4 / 2 5": ("1 2 3 / 4", "1 3 / 2 4", "1 3 4 / 2"),
-    "1 2 5 / 3 4": ("1 3 4 / 2", "1 2 4 / 3", "1 2 / 3 4"),
-    "1 3 5 / 2 4": ("1 2 4 / 3", "1 3 4 / 2", "1 3 / 2 4"),
-}
-REFERENCE_TABLE_32 = {
-    frozenset(members): text(t) for t, members in BASE_32_TEXT.items()
-}
-
-
-def transposed(t):
-    """``t`` reflected across the main diagonal."""
-    return StandardTableau(
-        [row[j] for row in t.rows if j < len(row)]
-        for j in range(max(t.shape, default=0))
-    )
-
-
-def transpose(deck):
-    """The deck with every member transposed."""
-    return Deck(map(transposed, deck.members), deck.k, deck.n)
-
-
-def reference_base(deck, shape, line="row"):
-    """Lemma 3.6 on a sorted Deck: the hook reads each member's (2, 1)
-    entry, transposes go through each member, and (3,2) looks up the
-    members' text.  ``line`` names the hook's second line in the error,
-    "column" when the deck came in transposed."""
-    n = deck.n
-    if shape == (n,):
-        return StandardTableau._make([range(1, n + 1)])
-    if shape == (1,) * n:
-        return StandardTableau._make([v] for v in range(1, n + 1))
-    if n >= 4 and shape == (n - 1, 1):
-        second = max(
-            (
-                member.rows[1][0]
-                for member in deck.members
-                if len(member.shape) == 2
-            ),
-            default=0,
-        )
-        if second < 2:
-            raise NoMatchError(f"no member shows a second-{line} entry")
-        tops = [
-            (member.shape, member.cell_of(n - 1)) for member in deck.members
-        ]
-        if _locate(n, shape, tops) == (2, 1):
-            return StandardTableau._make([range(1, n), [n]])
-        return StandardTableau._make(
-            [[v for v in range(1, n + 1) if v != second], [second]]
-        )
-    if n >= 4 and shape == (2,) + (1,) * (n - 2):
-        return transposed(reference_base(transpose(deck), (n - 1, 1), "column"))
-    if shape == (3, 2):
-        key = frozenset(member.to_text() for member in deck.members)
-        try:
-            return REFERENCE_TABLE_32[key]
-        except KeyError:
-            raise NoMatchError(
-                "deck matches none of the five shape-(3,2) decks"
-            ) from None
-    if shape == (2, 2, 1):
-        return transposed(reference_base(transpose(deck), (3, 2)))
-    return None
-
-
-def base_shapes(n):
-    """The shapes Lemma 3.6 decides directly at size n."""
-    shapes = [(n,), (1,) * n]
-    if n >= 4:
-        shapes += [(n - 1, 1), (2,) + (1,) * (n - 2)]
-    if n == 5:
-        shapes += [(3, 2), (2, 2, 1)]
-    return shapes
-
-
-def outcome_of(f, *args):
-    """What f returns, or the type and message of the TableauError it raises."""
-    try:
-        return f(*args)
-    except TableauError as exc:
-        return type(exc), str(exc)
-
-
-RECHECK = "reconstructed candidate has a different deck"
-
-
-def checked_base(deck, shape):
-    """Lemma 3.6's core behind the loop's re-check of its result: the
-    result's 1-minor words must be the level's."""
-    n, level, width = packed(deck)
-    t = _base(n, shape, level, width)
-    if t is not None and _minor_counts(t, _word_of(t, width), width).keys() != level.keys():
-        raise NotADeckError(RECHECK)
-    return t
-
-
-def checked_reference_base(deck, shape):
-    """reference_base behind the loop's input check and a re-check of its
-    result by jeu-de-taquin deletion."""
-    _check_one_minor_deck(deck)
-    t = reference_base(deck, shape)
-    if t is not None and minor_set(t, 1) != deck:
-        raise NotADeckError(RECHECK)
-    return t
-
-
-def test_base_matches_deck_reference_on_perturbed_decks():
-    checked = 0
-    for n in range(1, 10):
-        tableaux = [t for s in base_shapes(n) for t in enumerate_syt(s)]
-        decks = {t: minor_set(t, 1) for t in tableaux}
-        # foreign members: every size-(n-1) tableau with at most two rows
-        # or two columns, the shapes whose entries the base rules read
-        pool = [
-            m for m in enumerate_syt_all(n - 1)
-            if len(m.shape) <= 2 or m.shape[0] <= 2
-        ]
-        for t, deck in decks.items():
-            assert checked_base(deck, t.shape) == t
-            # the genuine deck against every base shape and one other shape
-            for shape in base_shapes(n) + [(n, 1)]:
-                assert outcome_of(checked_base, deck, shape) == outcome_of(
-                    checked_reference_base, deck, shape
-                ), (t.to_text(), shape)
-            variants = [
-                Deck(deck.members[:j] + deck.members[j + 1:], 1, n)
-                for j in range(len(deck))
-            ]
-            variants += [
-                Deck(deck.members + (m,), 1, n) for m in pool if m not in deck
-            ]
-            for d in variants:
-                got = outcome_of(checked_base, d, t.shape)
-                assert got == outcome_of(checked_reference_base, d, t.shape), (
-                    t.to_text(),
-                    d.to_text(),
-                )
-                checked += 1
-    assert checked > 1000
-
-
 def reference_inductive(deck):
     """The recursive pipeline on Decks: Lemmas 3.1 and 3.2 by their cores,
-    the Deck-based Lemma 3.6, and deck reduction by full jeu-de-taquin
-    deletion."""
+    T - n as the one member of its shape less n's cell once those whose
+    n - 1 is left of or directly above that cell are dropped, and else
+    deck reduction by full jeu-de-taquin deletion."""
     n, level, width = packed(deck)
     shape = _shape(n, set(level.values()))
-    base = reference_base(deck, shape)
-    if base is not None:
-        return base
     r, c = _locate(n, shape, _tops(n, level, width))
-    reduced = Deck((delete_entry(m, n - 1) for m in deck), 1, n - 1)
-    rows = [list(row) for row in reference_inductive(reduced).rows]
+    rest = list(shape)
+    rest[r - 1] -= 1
+    rest = tuple(p for p in rest if p)
+    found = [m for m in deck if m.shape == rest]
+    if len(found) > 1:
+        found = [m for m in found if m.cell_of(n - 1) not in ((r, c - 1), (r - 1, c))]
+    if len(found) == 1:
+        smaller = found[0]
+    else:
+        smaller = reference_inductive(
+            Deck((delete_entry(m, n - 1) for m in deck), 1, n - 1)
+        )
+    rows = [list(row) for row in smaller.rows]
     if r == len(rows) + 1 and c == 1:
         rows.append([n])
     elif 1 <= r <= len(rows) and c == len(rows[r - 1]) + 1:
@@ -609,9 +408,9 @@ def grown_tableaux():
     return tableaux
 
 
-# the recursive reference takes about 0.2 s on one deck at n = 130, 0.6 s at
-# n = 200 and 2.5 s at n = 300, so larger decks are checked for soundness alone
-REFERENCE_MAX_N = 120
+# the recursive reference takes about 8 ms on the genuine deck at n = 300;
+# larger decks would be checked for soundness alone
+REFERENCE_MAX_N = 300
 
 
 def test_minor_counts_match_delete_entry_at_every_width():
@@ -748,18 +547,6 @@ def one_off_decks(t, other):
     ]
 
 
-def test_lone_member_shortcut_matches_the_full_loop(monkeypatch):
-    decks = []
-    for n in range(5, 9):
-        tableaux = list(enumerate_syt_all(n))
-        for i, t in enumerate(tableaux):
-            decks += one_off_decks(t, tableaux[(i + 1) % len(tableaux)])
-    fast = [run(d) for run, d in decks]
-    assert any(isinstance(o, Invalid) for o in fast)
-    monkeypatch.setattr(reconstruct_module, "_lone", lambda *args: None)
-    assert [run(d) for run, d in decks] == fast
-
-
 def test_lone_member_exits_at_the_top_deeper_and_at_base_shapes(monkeypatch):
     real_lone, real_recheck = reconstruct_module._lone, reconstruct_module._recheck
     calls, rechecks = [], []
@@ -774,6 +561,8 @@ def test_lone_member_exits_at_the_top_deeper_and_at_base_shapes(monkeypatch):
 
     monkeypatch.setattr(reconstruct_module, "_lone", lone)
     monkeypatch.setattr(reconstruct_module, "_recheck", recheck)
+    # the shapes Lemma 3.6 decides directly exit the same way
+    lines_and_hooks = {(10,), (1,) * 10, (9, 1), (2,) + (1,) * 8}
     exits = Counter()
     for t in list(enumerate_syt_all(10))[::5]:
         calls.clear()
@@ -781,11 +570,11 @@ def test_lone_member_exits_at_the_top_deeper_and_at_base_shapes(monkeypatch):
         assert reconstruct_from_set(minor_set(t, 1)) == Unique(t)
         # a genuine deck's lone member is T - n, so its one attempt returns
         assert len(rechecks) == 1
+        assert calls[-1] is not None
         assert all(word is None for word in calls[:-1])
-        found = bool(calls) and calls[-1] is not None
-        exits["base" if not found else "top" if len(calls) == 1 else "deeper"] += 1
-    assert exits.keys() == {"top", "deeper", "base"}
-    assert exits["top"] == 1492  # of 1,900 decks
+        exits["top" if len(calls) == 1 else "deeper"] += 1
+        exits["line or hook"] += t.shape in lines_and_hooks
+    assert exits == {"top": 1494, "deeper": 406, "line or hook": 4}  # 1,900 decks
 
 
 def test_lone_picks_only_t_minus_n_and_finds_it_beside_no_n_minus_1(monkeypatch):
@@ -800,7 +589,6 @@ def test_lone_picks_only_t_minus_n_and_finds_it_beside_no_n_minus_1(monkeypatch)
 
     monkeypatch.setattr(reconstruct_module, "_lone", lone)
     for n in range(5, 10):
-        bases = {(n,), (1,) * n, (n - 1, 1), (2,) + (1,) * (n - 2), (3, 2), (2, 2, 1)}
         for t in enumerate_syt_all(n):
             width = len(t.shape).bit_length()
             minors = minor_set(t, 1)
@@ -814,8 +602,8 @@ def test_lone_picks_only_t_minus_n_and_finds_it_beside_no_n_minus_1(monkeypatch)
             ):
                 calls.clear()
                 assert run(deck) == Unique(t)
-                assert bool(calls) == (t.shape not in bases)
-                if calls and (alone or not beside):
+                assert calls
+                if alone or not beside:
                     assert calls[0][1] is not None, t
                 level = t
                 for m, word in calls:
@@ -826,9 +614,7 @@ def test_lone_picks_only_t_minus_n_and_finds_it_beside_no_n_minus_1(monkeypatch)
 
 
 def test_invalid_deck_rechecks_at_most_twice(monkeypatch):
-    for shape in ((3, 2), (2, 2, 1)):  # warm the cached base decks
-        for width in range(1, 5):
-            reconstruct_module._base_table(shape, width)
+    # a deck has one candidate, so it is re-checked once at most
     real = reconstruct_module._minor_counts
     calls = []
 
@@ -844,7 +630,17 @@ def test_invalid_deck_rechecks_at_most_twice(monkeypatch):
             calls.clear()
             if isinstance(run(d), Invalid):
                 most = max(most, len(calls))
-    assert most == 2
+    assert most == 1
+
+
+def _word_of(tableau, width):
+    """The packed row word of ``tableau``, ``width`` bits per entry, packed
+    entry by entry."""
+    return sum(
+        r << width * (v - 1)
+        for r, row in enumerate(tableau.rows[1:], 1)
+        for v in row
+    )
 
 
 def test_level_packs_rows_as_the_per_entry_words():
@@ -889,9 +685,6 @@ def test_level_memo_keeps_few_masks_on_a_tall_deck():
 def test_exit_hands_the_recheck_the_candidate_word(monkeypatch):
     # the candidate's word is built from T - n's, not packed from the
     # candidate, so the word the re-check reads must be T's own
-    for shape in ((3, 2), (2, 2, 1)):  # warm the cached base decks
-        for width in range(1, 5):
-            reconstruct_module._base_table(shape, width)
     real = reconstruct_module._minor_counts
     calls = []
 
@@ -914,8 +707,8 @@ def test_exit_hands_the_recheck_the_candidate_word(monkeypatch):
 
 def test_unaddable_cell_is_reported_with_the_shape():
     deck = Deck.from_text(
-        "deck k=1 n=5 size=4\n1 2 / 3 / 4\n1 3 / 2 / 4\n1 4 / 2 / 3\n1 2 4 / 3"
+        "deck k=1 n=6 size=3\n1 2 / 3 4 / 5\n1 2 4 / 3 5\n1 3 4 / 2 5"
     )
     assert reconstruct_from_set(deck) == Invalid(
-        "cell (3, 1) is not addable to shape (2, 1, 1)"
+        "cell (2, 2) is not addable to shape (3, 2)"
     )
