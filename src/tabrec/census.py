@@ -478,7 +478,7 @@ def suite_deck_reduction(max_n: int) -> list[str]:
     def check(t, level, width):
         n = t.n
         direct = _level(minor_set(delete_entry(t, n), 1).members, width)
-        if _reduce(n, level, width) != direct:
+        if _reduce(n, level, width, _tops(n, level, width)) != direct:
             yield (
                 f"reduced deck of {t.to_text()!r} differs from the deck "
                 f"of its (n-1)-entry minor"

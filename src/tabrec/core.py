@@ -54,6 +54,14 @@ class _Record:
         for name, value in zip(names, args):
             object.__setattr__(self, name, value)
 
+    @classmethod
+    def _make(cls, *values):
+        """Build from field values known to be valid, unchecked."""
+        record = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(record, name, value)
+        return record
+
     def _values(self) -> tuple:
         return tuple(map(self.__getattribute__, self.__slots__))
 
@@ -184,7 +192,7 @@ class StandardTableau:
 
     def to_text(self) -> str:
         """Single-line text form, rows joined by " / "; "" for n = 0."""
-        return " / ".join(" ".join(str(v) for v in row) for row in self.rows)
+        return " / ".join(" ".join(map(str, row)) for row in self.rows)
 
     @classmethod
     def from_text(cls, text: str) -> "StandardTableau":
@@ -250,7 +258,9 @@ class _RowMemo(dict):
             and max(map(itemgetter(-1), rows)) <= n
             and len(set(chain.from_iterable(rows))) == n
         ):
-            return StandardTableau._make(rows)
+            tableau = object.__new__(StandardTableau)
+            tableau.rows, tableau.shape, tableau._hash = rows, shape, hash(rows)
+            return tableau
         return StandardTableau.from_text(text)
 
 

@@ -183,13 +183,14 @@ def _tops(n: int, level: dict, width: int) -> list:
     return [(s, (r + 1, s[r])) for w, s in level.items() for r in [w >> shift]]
 
 
-def _reduce(n: int, level: dict, width: int) -> dict:
-    """Lemma 3.3: the level of T - n from a level of size-(n-1) members, each
-    less its n-1, which ends its row in a corner: a mask, with no slide."""
+def _reduce(n: int, level: dict, width: int, tops) -> dict:
+    """Lemma 3.3: the level of T - n from a level of size-(n-1) members and
+    its tops (see _tops), each member less its n-1, which ends its row in a
+    corner: a mask, with no slide."""
     low = (1 << width * (n - 2)) - 1
     return {
         w & low: s[:r - 1] + (c - 1,) + s[r:] if c > 1 else s[:r - 1]
-        for w, (s, (r, c)) in zip(level, _tops(n, level, width))
+        for w, (s, (r, c)) in zip(level, tops)
     }
 
 
@@ -222,7 +223,7 @@ def _reconstruct_inductive(deck: Deck | DeckMultiset) -> StandardTableau:
         if (lone := _lone(shape, cells[-1], level, tops)) is not None:
             candidate = _insert(lone, level[lone], cells, width)
             return _recheck(*candidate, words, cards, width)
-        level, n = _reduce(n, level, width), n - 1
+        level, n = _reduce(n, level, width, tops), n - 1
         shape = _shape(n, set(level.values()))
 
 
@@ -298,7 +299,7 @@ def reconstruct_from_set(deck: Deck | DeckMultiset) -> Outcome:
     if deck.k == 1 and deck.n <= 4:
         return _exhaustive_set(deck)
     try:
-        return Unique(_reconstruct_inductive(deck))
+        return Unique._make(_reconstruct_inductive(deck))
     except TableauError as exc:
         return Invalid(str(exc))
 

@@ -11,6 +11,7 @@ own row tuples: only the rows on the hole's path change.
 """
 
 from collections import Counter
+from operator import attrgetter, itemgetter
 
 from .core import (
     Cell,
@@ -29,6 +30,8 @@ class OutOfRangeError(TableauError):
 class NotADeckError(TableauError):
     """Input cannot be a deck of k-minors."""
 
+
+_CANON = attrgetter("shape", "rows")  # StandardTableau.sort_key, in C
 
 # most distinct minors one level of minor_set/minor_multiset may hold.  Levels
 # grow fast: on the 55-cell column-filled staircase k = 5, 6, 7 hold 2,064,
@@ -190,6 +193,21 @@ def _check_sizes(members, k: int, n: int, noun: str) -> None:
             )
 
 
+def _check_cards(cards, k: int, n: int) -> None:
+    """_check_sizes for cards, and for k = 1 a total multiplicity of n."""
+    _check_sizes(map(itemgetter(0), cards), k, n, "card")
+    if k == 1 and (total := sum(map(itemgetter(1), cards))) != n:
+        raise NotADeckError(
+            f"1-minor multiset has total multiplicity {total}, expected {n}"
+        )
+
+
+def _by_member(cards) -> tuple:
+    """Cards of distinct members in canonical member order, by C-level keys."""
+    keys = map(_CANON, map(itemgetter(0), cards))
+    return tuple(map(itemgetter(1), sorted(zip(keys, cards))))
+
+
 class Deck(_Record):
     """The set of k-minors of a size-n tableau.
 
@@ -200,11 +218,9 @@ class Deck(_Record):
     __slots__ = ("members", "k", "n")
 
     def __init__(self, members, k, n):
-        members = tuple(sorted(set(members), key=StandardTableau.sort_key))
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
+        members = tuple(sorted(set(members), key=_CANON))
         _check_sizes(members, k, n, "member")
+        super().__init__(members, k, n)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -224,7 +240,9 @@ class Deck(_Record):
     @classmethod
     def from_text(cls, text: str) -> "Deck":
         k, n, members = _parse_deck_lines(text, multiset=False)
-        return cls(members, k, n)
+        members.sort(key=_CANON)  # the reader refused duplicates
+        _check_sizes(members, k, n, "member")
+        return cls._make(tuple(members), k, n)
 
 
 class DeckMultiset(_Record):
@@ -248,22 +266,13 @@ class DeckMultiset(_Record):
                     f"multiplicity {mult!r} is not a positive integer"
                 )
             counts[member] += mult
-        cards = tuple(
-            sorted(counts.items(), key=lambda item: item[0].sort_key())
-        )
-        object.__setattr__(self, "cards", cards)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
-        _check_sizes((m for m, _ in cards), k, n, "card")
-        if k == 1 and self.total() != n:
-            raise NotADeckError(
-                f"1-minor multiset has total multiplicity {self.total()}, "
-                f"expected {self.n}"
-            )
+        cards = _by_member(counts.items())
+        _check_cards(cards, k, n)
+        super().__init__(cards, k, n)
 
     def total(self) -> int:
         """Number of cards counted with multiplicity."""
-        return sum(mult for _, mult in self.cards)
+        return sum(map(itemgetter(1), self.cards))
 
     def counter(self) -> Counter:
         """Cards as a Counter keyed by member."""
@@ -271,7 +280,7 @@ class DeckMultiset(_Record):
 
     def support(self) -> Deck:
         """The underlying set of distinct members."""
-        return Deck((member for member, _ in self.cards), self.k, self.n)
+        return Deck._make(tuple(map(itemgetter(0), self.cards)), self.k, self.n)
 
     def __len__(self) -> int:
         return len(self.cards)
@@ -296,7 +305,12 @@ class DeckMultiset(_Record):
     @classmethod
     def from_text(cls, text: str) -> "DeckMultiset":
         k, n, cards = _parse_deck_lines(text, multiset=True)
-        return cls(cards, k, n)
+        # the reader refused duplicates and read only decimal digits
+        if 0 in map(itemgetter(1), cards):
+            raise NotADeckError("multiplicity 0 is not a positive integer")
+        cards = _by_member(cards)
+        _check_cards(cards, k, n)
+        return cls._make(cards, k, n)
 
 
 def _parse_deck_lines(text: str, multiset: bool):
@@ -418,9 +432,7 @@ def _minors(tableau: StandardTableau, k: int) -> dict:
     Each tableau's entries therefore split into runs of such neighbours,
     and one hole walk, of the run's last entry, serves the whole run.
     """
-    n = tableau.n
-    if not 0 <= k <= n:
-        raise OutOfRangeError(f"minor order {k} outside 0..{n}")
+    _check_sizes((), k, tableau.n, "minor")  # so its decks need no check
     # plain dicts: a Counter walk made minor_set about 15% slower at n = 10
     current = {tableau: 1}
     for _ in range(k):
@@ -438,9 +450,9 @@ def _minors(tableau: StandardTableau, k: int) -> dict:
 
 def minor_set(tableau: StandardTableau, k: int = 1) -> Deck:
     """All tableaux reachable from ``tableau`` by k successive deletions."""
-    return Deck(_minors(tableau, k), k, tableau.n)
+    return Deck._make(tuple(sorted(_minors(tableau, k), key=_CANON)), k, tableau.n)
 
 
 def minor_multiset(tableau: StandardTableau, k: int = 1) -> DeckMultiset:
     """k-minors counted with multiplicity, one card per deletion sequence."""
-    return DeckMultiset(_minors(tableau, k).items(), k, tableau.n)
+    return DeckMultiset._make(_by_member(_minors(tableau, k).items()), k, tableau.n)

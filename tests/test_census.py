@@ -453,7 +453,7 @@ def no_multiset_classes(n):
          "shape of '1 2 3': got (9,), want (3,)"),
         ("lemma3.2", "_locate", lambda n, shape, tops: (9, 9), 36,
          "location of 4 in '1 2 3 4': got (9, 9), want (1, 4)"),
-        ("lemma3.3", "_reduce", lambda n, level, width: level, 42,
+        ("lemma3.3", "_reduce", lambda n, level, width, tops: level, 42,
          "reduced deck of '1 2' differs from the deck of its (n-1)-entry minor"),
         ("lemma3.3", "delete_entry", wrong_delete, 28,
          "double deletion from '1 2 4 / 3' depends on the order of removing "
@@ -601,6 +601,8 @@ def test_census_and_exact_h1_make_no_slides(monkeypatch):
     monkeypatch.setattr(StandardTableau, "_make", fail)
     monkeypatch.setattr(Deck, "__init__", fail)
     monkeypatch.setattr(DeckMultiset, "__init__", fail)
+    monkeypatch.setattr(Deck, "_make", fail)
+    monkeypatch.setattr(DeckMultiset, "_make", fail)
     for mode in ("set", "multiset"):
         assert census(7, 1, mode).classes == ()
         assert census(8, 2, mode).classes == ()

@@ -187,6 +187,13 @@ def test_text_round_trip_exhaustive():
             assert StandardTableau.from_text(t.to_text()) == t
 
 
+def test_to_text_bytes_match_a_join_of_generators():
+    for n in range(8):
+        for t in enumerate_syt_all(n):
+            want = " / ".join(" ".join(str(v) for v in row) for row in t.rows)
+            assert t.to_text() == want
+
+
 def test_from_text_rejects_junk():
     with pytest.raises(EntryError):
         StandardTableau.from_text("1 x / 2")

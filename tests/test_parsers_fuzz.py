@@ -12,8 +12,10 @@ is also run on the rows of real tableaux with defects added, against a
 reference copy of its checks written as per-entry generators: it must
 accept the same rows, and reject the rest with the same error class and
 message.  The deck readers, which read rows through a memo shared by a
-deck's members, are run likewise on perturbed decks against reading
-each member line with ``StandardTableau.from_text``.  Runs are
+deck's members and build the deck unchecked after their own checks,
+are run likewise on perturbed decks against the public route: each
+member line read by ``StandardTableau.from_text``, then the checked
+``Deck`` or ``DeckMultiset`` constructor.  Runs are
 derandomized with a fixed example count, so the suite is repeatable and
 fast; the module is skipped when hypothesis is not installed.
 """
@@ -37,7 +39,13 @@ from tabrec.core import (
     check_partition,
     enumerate_syt_all,
 )
-from tabrec.taquin import Deck, DeckMultiset, minor_multiset, minor_set
+from tabrec.taquin import (
+    Deck,
+    DeckMultiset,
+    _parse_deck_lines,
+    minor_multiset,
+    minor_set,
+)
 
 FUZZ = settings(max_examples=300, derandomize=True, database=None, deadline=None)
 
@@ -230,7 +238,7 @@ def grown_tableaux(draw):
 
 LINE_DEFECTS = (
     "swap_row", "swap_column", "non_integer", "empty_row", "whitespace",
-    "line_end", "bump", "repeated_bad_row",
+    "line_end", "bump", "repeated_bad_row", "drop", "header_n", "multiplicity",
 )
 SPACES = (" ", "\t", "\r", "  ", "\u2003")
 
@@ -238,7 +246,8 @@ SPACES = (" ", "\t", "\r", "  ", "\u2003")
 @st.composite
 def perturbed_deck_texts(draw):
     """The text of a set or multiset deck of a random tableau, with up to
-    four defects put into its member lines; returns (multiset, text)."""
+    four defects put into its member lines or its n, and maybe its lines
+    reversed; returns (multiset, text)."""
     t = draw(grown_tableaux())
     multiset = draw(st.booleans())
     k = min(draw(st.sampled_from([1, 1, 1, 0, 2])), t.n)
@@ -251,7 +260,7 @@ def perturbed_deck_texts(draw):
         members.append([row.split() for row in member.split(" / ") if row])
         ends.append(sep + mult)
     for _ in range(draw(st.integers(0, 4))):
-        filled = [at for at, rows in enumerate(members) if rows]
+        filled = [at for at, rows in enumerate(members) if any(rows)]
         if not filled:
             break
         at = draw(st.sampled_from(filled))
@@ -282,18 +291,41 @@ def perturbed_deck_texts(draw):
             bad = good[::-1] if len(good) > 1 else ["0"]
             for other in members:
                 other[:] = [bad if row == good else row for row in other]
+        elif defect == "drop":  # its largest entry goes: a smaller tableau
+            largest = str(sum(map(len, rows)))
+            for r, row in enumerate(rows):
+                if row[-1:] == [largest]:
+                    del row[-1]
+                    if not row:
+                        del rows[r]
+                    break
+        elif defect == "header_n":  # no member has n - k entries
+            header = header.replace(f" n={t.n} ", f" n={t.n + 1} ")
+        elif defect == "multiplicity" and multiset:
+            ends[at] = " x" + draw(st.sampled_from(["0", "00", "1", "3"]))
     body = [
         " / ".join(" ".join(row) for row in rows) + end
         for rows, end in zip(members, ends)
     ]
+    if draw(st.booleans()):  # readers check sizes in canonical order
+        body.reverse()
     return multiset, "\n".join([header, *body])
 
 
-def read_deck(cls, text):
+def read_deck(read, text):
     try:
-        return cls.from_text(text)
+        return read(text)
     except TableauError as exc:
         return type(exc), str(exc)
+
+
+def read_by_constructor(cls, text):
+    """Each member line by ``StandardTableau.from_text``, duplicates
+    refused, then the checked constructor."""
+    each_line = lambda memo, line: StandardTableau.from_text(line)
+    with mock.patch.object(_RowMemo, "tableau", each_line):
+        k, n, cards = _parse_deck_lines(text, multiset=cls is DeckMultiset)
+    return cls(cards, k, n)
 
 
 @settings(FUZZ, max_examples=600)
@@ -301,10 +333,12 @@ def read_deck(cls, text):
 def test_deck_readers_match_reading_each_line(case):
     multiset, text = case
     cls = DeckMultiset if multiset else Deck
-    got = read_deck(cls, text)
-    each_line = lambda memo, line: StandardTableau.from_text(line)
-    with mock.patch.object(_RowMemo, "tableau", each_line):
-        assert got == read_deck(cls, text)
+    got = read_deck(cls.from_text, text)
+    assert got == read_deck(lambda text: read_by_constructor(cls, text), text)
+    if isinstance(got, cls):  # each member as the checked constructor makes it
+        for member in got.support() if multiset else got:
+            made = StandardTableau(member.rows)
+            assert (member.shape, hash(member)) == (made.shape, hash(made))
 
 
 def test_deck_text_members_share_rows():

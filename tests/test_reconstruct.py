@@ -79,7 +79,8 @@ def locate(deck):
 def reduces_to(deck, smaller):
     """Whether Lemma 3.3's core turns ``deck`` into the level of ``smaller``."""
     n, level, width = packed(deck)
-    return _reduce(n, level, width) == _level(smaller.members, width)
+    tops = _tops(n, level, width)
+    return _reduce(n, level, width, tops) == _level(smaller.members, width)
 
 
 def test_shape_known_decks():

@@ -248,6 +248,27 @@ def test_multiset_multiplicities_validated():
         DeckMultiset([(text("1 2"), 4)], 1, 3)
 
 
+def test_deck_text_sizes_are_checked_in_canonical_order():
+    # '1 / 2' sorts first, so it is named though its line comes last
+    with pytest.raises(NotADeckError) as got:
+        Deck.from_text("deck k=1 n=4 size=2\n1 2\n1 / 2")
+    assert str(got.value) == "member '1 / 2' has 2 entries, expected 3"
+    with pytest.raises(NotADeckError) as got:
+        DeckMultiset.from_text("deck k=1 n=4 size=2\n1 2 x2\n1 / 2 x2")
+    assert str(got.value) == "card '1 / 2' has 2 entries, expected 3"
+
+
+def test_built_decks_equal_the_checked_constructors():
+    # minor_set, minor_multiset and support build their decks unchecked
+    for n in range(8):
+        for t in enumerate_syt_all(n):
+            for k in range(1, min(n, 2) + 1):
+                deck, cards = minor_set(t, k), minor_multiset(t, k)
+                assert deck == Deck(deck.members, k, n)
+                assert cards == DeckMultiset(cards.cards, k, n)
+                assert cards.support() == Deck(deck.members, k, n) == deck
+
+
 def test_deck_equality_and_containment():
     a = minor_set(text("1 2 / 3"), 1)
     b = Deck([text("1 / 2"), text("1 2")], 1, 3)
@@ -365,6 +386,11 @@ def test_deck_constructors_reject_non_integer_sizes():
     for mult in (2.0, True, "2"):
         with pytest.raises(NotADeckError):
             DeckMultiset([(text("1 2"), 1), (text("1 / 2"), mult)], 1, 3)
+    # the decks minor_set and minor_multiset build trust the k they were given
+    for k in (True, 1.0):
+        for minors in (minor_set, minor_multiset):
+            with pytest.raises(OutOfRangeError):
+                minors(text("1 2 / 3"), k)
 
 
 def column_filled_staircase(m):
