@@ -432,9 +432,9 @@ def differential_check(n: int) -> DifferentialReport:
 
 def _levels(tableaux):
     """Each tableau T as (T, level, width): T's slide-based 1-minor deck as
-    the loop's level (member word -> shape), at a width fitting every row."""
+    the loop's level (member word -> shape), at the loop's width for T."""
     for t in tableaux:
-        width = t.n.bit_length()
+        width = len(t.shape).bit_length()
         yield t, _level(minor_set(t, 1).members, width), width
 
 

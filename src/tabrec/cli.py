@@ -244,7 +244,7 @@ def run(argv: list[str]) -> int:
         except OSError:
             pass
         return 0
-    except TableauError as exc:
+    except (TableauError, UnicodeDecodeError) as exc:  # stdin may not decode
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

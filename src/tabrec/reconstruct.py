@@ -5,13 +5,15 @@ its verify suite in census both run: the shape (Lemma 3.1, _shape), the
 cell of the largest entry n (3.2, _locate on _tops) and the deck of T - n
 (3.3, _reduce).  A level maps each member's packed row word (as in
 taquin._grow), summed from a mask per distinct row and index, to its
-shape.  The loop reduces level by level until one member can be T - n:
-the only member of T - n's shape, or the only one of that shape whose
-n-1 is not beside n's cell (_lone).  From its second level on, the loop
-on T's deck is the loop on T - n's, so as it finds T - n on every size-5
-deck, it finds it on every genuine deck, and the shapes Lemma 3.6 decides
-directly need no case of their own.  The candidate's word is T - n's
-with each located n's row OR-ed in, decoded once; its 1-minors' words,
+shape.  The loop recovers T's shape once and carries it down, less each
+located cell (_less), until one member can be T - n: the only member of
+T - n's shape, or the only one of that shape whose n-1 is not beside n's
+cell (_lone).  On a genuine deck that shape is what Lemma 3.1 gives on
+the reduced level, so from its second level on, the loop on T's deck is
+the loop on T - n's: as it finds T - n on every size-5 deck, it finds it
+on every genuine deck, with no case for the shapes Lemma 3.6 decides.
+The candidate's word is T - n's with each located n's row OR-ed in, each
+at a corner of the shape it came off, decoded once; its 1-minors' words,
 from one slide per run (taquin._minor_counts), must be the input's.  The
 pipeline is complete for n >= 5; for n <= 4 exhaustive search gives a
 total answer (Unique, Ambiguous with all candidates, or Invalid).
@@ -188,74 +190,70 @@ def _reduce(n: int, level: dict, width: int, tops) -> dict:
     its tops (see _tops), each member less its n-1, which ends its row in a
     corner: a mask, with no slide."""
     low = (1 << width * (n - 2)) - 1
-    return {
-        w & low: s[:r - 1] + (c - 1,) + s[r:] if c > 1 else s[:r - 1]
-        for w, (s, (r, c)) in zip(level, tops)
-    }
+    return {w & low: _less(s, top) for w, (s, top) in zip(level, tops)}
+
+
+def _less(shape: Partition, cell: Cell) -> Partition:
+    """``shape`` less its outer corner ``cell``."""
+    r, c = cell
+    return shape[:r - 1] + (c - 1,) + shape[r:] if c > 1 else shape[:r - 1]
 
 
 def _reconstruct_inductive(deck: Deck | DeckMultiset) -> StandardTableau:
     """Pipeline of shape recovery, max location and level reduction.
 
-    Locates each level's n from the members' shapes and cells of n-1
-    (_tops) and reduces level by level, until _lone picks a member for
-    T - n; that member with the located n's put back is the one
-    candidate.  Its 1-minors, as words packed at one width, must be the
-    members' words; a multiset runs on its support, and its
-    multiplicities are re-checked too.  Never falls back to exhaustive
-    search: a deck that is not a genuine 1-minor set raises at the first
-    check it fails, at the latest at a level too small to locate n.
+    Recovers T's shape, then locates each level's n from the members'
+    shapes and cells of n-1 (_tops) and goes down to T - n's level and
+    shape, the shape less n's cell, until _lone picks a member for T - n;
+    that member with the located n's put back is the one candidate.  Its 1-minors, as
+    words packed at one width, must be the members' words; a multiset
+    runs on its support, and its multiplicities are re-checked too.
+    Never falls back to exhaustive search: a deck that is not a genuine
+    1-minor set raises at the first check it fails, at the latest at a
+    level too small to locate n.
     """
     _check_one_minor_deck(deck)
     cards = deck.cards if isinstance(deck, DeckMultiset) else ()
     members = [m for m, _ in cards] if cards else deck.members
     n = deck.n
     shape = _shape(n, {m.shape for m in members})
-    # members have at most len(shape) rows, and no level's shape, so no
-    # candidate, has more than one row beyond theirs: every 0-based row is
-    # at most len(shape) < 2**width
+    # members have at most len(shape) rows and the candidate has shape
+    # ``shape``: every 0-based row is below len(shape) < 2**width
     width = len(shape).bit_length()
     words = level = _level(members, width)
     cells = []
     while True:
         tops = _tops(n, level, width)
-        cells.append(_locate(n, shape, tops))
-        if (lone := _lone(shape, cells[-1], level, tops)) is not None:
-            candidate = _insert(lone, level[lone], cells, width)
+        cells.append(cell := _locate(n, shape, tops))
+        shape = _less(shape, cell)  # T - n's, so each cell put back fits
+        if (lone := _lone(shape, cell, level, tops)) is not None:
+            candidate = _insert(lone, n - 1, cells, width)
             return _recheck(*candidate, words, cards, width)
         level, n = _reduce(n, level, width, tops), n - 1
-        shape = _shape(n, set(level.values()))
 
 
-def _lone(shape: Partition, cell: Cell, level: dict, tops):
+def _lone(rest: Partition, cell: Cell, level: dict, tops):
     """Word of the one member of ``level`` that can be T - n, or None.
 
-    T - n has ``shape`` less ``cell``; of two or more such members, those
-    whose n-1 (tops, see _tops) is left of or above ``cell`` are dropped.
-    Any other T - m of that shape has m outside n's run and a slide path
-    ending at ``cell``.  That path's last step moves n from ``cell`` into
-    the cell left of or above it, where the member's n-1 then sits.
+    T - n has shape ``rest``, T's less n's ``cell``; of two or more such
+    members, those whose n-1 (tops, see _tops) is left of or above
+    ``cell`` are dropped.  Any other T - m of that shape has m outside
+    n's run and a slide path ending at ``cell``.  That path's last step
+    moves n from ``cell`` into the cell left of or above it, where the
+    member's n-1 then sits.
     """
     r, c = cell
-    rest = shape[:r - 1] + (c - 1,) + shape[r:] if c > 1 else shape[:r - 1]
     found = [(word, top) for word, (s, top) in zip(level, tops) if s == rest]
     if len(found) > 1:
         found = [f for f in found if f[1] not in ((r, c - 1), (r - 1, c))]
     return found[0][0] if len(found) == 1 else None
 
 
-def _insert(word: int, lengths, cells, width: int):
-    """(tableau, word) for packed row word ``word`` of row ``lengths`` with
-    the next entries' rows, from ``cells``, last first, OR-ed in."""
-    lengths, n = list(lengths), sum(lengths)
-    for v, (r, c) in enumerate(reversed(cells), n):  # v + 1 goes at (r, c)
-        if r == len(lengths) + 1 and c == 1:
-            lengths.append(0)
-        if not (1 <= r <= len(lengths) and c == lengths[r - 1] + 1):
-            raise NotADeckError(
-                f"cell {(r, c)} is not addable to shape {tuple(lengths)}"
-            )
-        lengths[r - 1] = c
+def _insert(word: int, n: int, cells, width: int):
+    """(tableau, word) for size-n packed row word ``word`` with the next
+    entries' rows, from ``cells``, last first, OR-ed in: each cell is a
+    corner of the shape it came off, so the tableau is standard."""
+    for v, (r, _) in enumerate(reversed(cells), n):  # v + 1 goes in row r
         word |= (r - 1) << width * v
     return _tableau_of(word, n + len(cells), width), word
 

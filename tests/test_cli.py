@@ -192,6 +192,24 @@ def test_reconstruct_invalid_deck_text(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reconstruct"],
+        ["minors", "--tableau", "-"],
+        ["delete", "--tableau", "-", "--entry", "1"],
+    ],
+)
+def test_stdin_that_does_not_decode_is_an_error(capsys, monkeypatch, argv):
+    # a strict UTF-8 stdin, as under a locale such as en_US.UTF-8
+    raw = io.BytesIO(b"deck k=1 n=5 size=1\n\xff\n")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(raw, encoding="utf-8"))
+    assert invoke(capsys, *argv) == (
+        1, "", "error: 'utf-8' codec can't decode byte 0xff in position 20: "
+        "invalid start byte\n"
+    )
+
+
 def test_reconstruct_minors_round_trip(capsys, monkeypatch):
     for n in range(5, 9):
         for t in list(enumerate_syt_all(n))[::7]:

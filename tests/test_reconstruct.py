@@ -3,10 +3,10 @@ reconstruction pipeline for sets and multisets of 1-minors.
 
 The lemma tests run each lemma's one core, the function both the
 reconstruction loop and its verify suite call, on a Deck packed into
-the loop's level by ``packed``.  Fixed expectations are the published
-example decks and outcomes; the exhaustive loops confirm each pipeline
-stage against every tableau of small sizes, leaving the largest sizes to
-the acceptance suite.
+the loop's level, at the loop's width, by ``packed``.  Fixed
+expectations are the published example decks and outcomes; the
+exhaustive loops confirm each pipeline stage against every tableau of
+small sizes, leaving the largest sizes to the acceptance suite.
 """
 
 import importlib
@@ -56,29 +56,32 @@ def deck_of(*texts, n=None):
     return Deck(members, 1, size)
 
 
-def packed(deck):
+def packed(deck, rows):
     """``deck`` as the loop's (n, level, width), after the loop's input
-    check; width n.bit_length() fits every row index, as in the suites."""
+    check, at the loop's width for a tableau of ``rows`` rows, as in the
+    suites."""
     _check_one_minor_deck(deck)
-    width = deck.n.bit_length()
+    width = rows.bit_length()
     return deck.n, _level(deck.members, width), width
 
 
 def shape_of(deck):
-    """Lemma 3.1's core on ``deck``."""
-    n, level, _ = packed(deck)
-    return _shape(n, set(level.values()))
+    """Lemma 3.1's core on ``deck``, as the loop runs it on its input."""
+    _check_one_minor_deck(deck)
+    return _shape(deck.n, {m.shape for m in deck.members})
 
 
 def locate(deck):
     """Lemma 3.2's core on ``deck``, at the shape Lemma 3.1 recovers."""
-    n, level, width = packed(deck)
-    return _locate(n, shape_of(deck), _tops(n, level, width))
+    shape = shape_of(deck)
+    n, level, width = packed(deck, len(shape))
+    return _locate(n, shape, _tops(n, level, width))
 
 
-def reduces_to(deck, smaller):
-    """Whether Lemma 3.3's core turns ``deck`` into the level of ``smaller``."""
-    n, level, width = packed(deck)
+def reduces_to(deck, smaller, rows):
+    """Whether Lemma 3.3's core turns ``deck``, of a tableau of ``rows``
+    rows, into the level of ``smaller``."""
+    n, level, width = packed(deck, rows)
     tops = _tops(n, level, width)
     return _reduce(n, level, width, tops) == _level(smaller.members, width)
 
@@ -151,17 +154,20 @@ def test_locate_errors():
 
 def test_reduce_known_decks():
     assert reduces_to(
-        deck_of("1 2 / 3 4", "1 2 3 / 4"), deck_of("1 2 / 3", "1 2 3")
+        deck_of("1 2 / 3 4", "1 2 3 / 4"), deck_of("1 2 / 3", "1 2 3"), 2
     )
-    assert reduces_to(deck_of("1"), Deck([StandardTableau(())], 1, 1))
+    for rows in (1, 2):  # the deck of `1 2` and of `1 / 2`
+        assert reduces_to(deck_of("1"), Deck([StandardTableau(())], 1, 1), rows)
     big = minor_set(text("1 2 4 / 3 5"), 1)
-    assert reduces_to(big, minor_set(text("1 2 4 / 3"), 1))
+    assert reduces_to(big, minor_set(text("1 2 4 / 3"), 1), 2)
 
 
 def test_reduce_exhaustive():
     for n in range(2, 9):
         for t in enumerate_syt_all(n):
-            assert reduces_to(minor_set(t, 1), minor_set(delete_entry(t, n), 1))
+            assert reduces_to(
+                minor_set(t, 1), minor_set(delete_entry(t, n), 1), len(t.shape)
+            )
 
 
 def test_from_set_published_outcomes():
@@ -273,12 +279,15 @@ def test_unique_outcomes_are_sound():
 
 def test_reduce_deck_matches_delete_entry():
     # _reduce drops the cell of n-1; a full jeu-de-taquin deletion is the
-    # reference
+    # reference.  A tableau with u among its 1-minors has u's rows or one
+    # more, so both widths are checked
     for n in range(1, 9):
         for u in enumerate_syt_all(n):
-            assert reduces_to(
-                Deck([u], 1, u.n + 1), Deck([delete_entry(u, u.n)], 1, u.n)
-            )
+            for rows in (len(u.shape), len(u.shape) + 1):
+                assert reduces_to(
+                    Deck([u], 1, u.n + 1), Deck([delete_entry(u, u.n)], 1, u.n),
+                    rows,
+                )
 
 
 def test_unchecked_tableaux_pass_validation():
@@ -296,13 +305,13 @@ def test_unchecked_tableaux_pass_validation():
                 assert hash(checked) == hash(x)
 
 
-def reference_inductive(deck):
-    """The recursive pipeline on Decks: Lemmas 3.1 and 3.2 by their cores,
-    T - n as the one member of its shape less n's cell once those whose
-    n - 1 is left of or directly above that cell are dropped, and else
-    deck reduction by full jeu-de-taquin deletion."""
-    n, level, width = packed(deck)
-    shape = _shape(n, set(level.values()))
+def reference_inductive(deck, shape):
+    """The recursive pipeline on Decks of a tableau of ``shape``: Lemma 3.2
+    by its core, T - n as the one member of ``shape`` less n's cell once
+    those whose n - 1 is left of or directly above that cell are dropped,
+    and else deck reduction by full jeu-de-taquin deletion, recursing with
+    T - n's shape.  Each located cell must be addable to what it goes on."""
+    n, level, width = packed(deck, deck.n)  # n - 1 rows fit any member
     r, c = _locate(n, shape, _tops(n, level, width))
     rest = list(shape)
     rest[r - 1] -= 1
@@ -314,22 +323,20 @@ def reference_inductive(deck):
         smaller = found[0]
     else:
         smaller = reference_inductive(
-            Deck((delete_entry(m, n - 1) for m in deck), 1, n - 1)
+            Deck((delete_entry(m, n - 1) for m in deck), 1, n - 1), rest
         )
     rows = [list(row) for row in smaller.rows]
     if r == len(rows) + 1 and c == 1:
         rows.append([n])
-    elif 1 <= r <= len(rows) and c == len(rows[r - 1]) + 1:
-        rows[r - 1].append(n)
     else:
-        shape = tuple(len(row) for row in rows)
-        raise NotADeckError(f"cell {(r, c)} is not addable to shape {shape}")
+        assert 1 <= r <= len(rows) and c == len(rows[r - 1]) + 1, (r, c, rows)
+        rows[r - 1].append(n)
     return StandardTableau(rows)
 
 
 def reference_from_set(deck):
     try:
-        candidate = reference_inductive(deck)
+        candidate = reference_inductive(deck, shape_of(deck))
     except TableauError as exc:
         return Invalid(str(exc))
     if minor_set(candidate, 1) != deck:
@@ -584,8 +591,9 @@ def test_lone_picks_only_t_minus_n_and_finds_it_beside_no_n_minus_1(monkeypatch)
     real = reconstruct_module._lone
     calls = []
 
-    def lone(shape, *args):
-        calls.append((sum(shape), real(shape, *args)))
+    def lone(rest, *args):
+        # rest is T - n's shape, one entry short of the level's tableau
+        calls.append((sum(rest) + 1, real(rest, *args)))
         return calls[-1][1]
 
     monkeypatch.setattr(reconstruct_module, "_lone", lone)
@@ -706,10 +714,47 @@ def test_exit_hands_the_recheck_the_candidate_word(monkeypatch):
                 assert calls == [(t, _word_of(t, width), width)], t.to_text()
 
 
-def test_unaddable_cell_is_reported_with_the_shape():
+def test_deck_whose_level_disagrees_with_the_carried_shape_fails_the_recheck():
+    # on this invalid deck Lemma 3.1 on the reduced level disagrees with the
+    # carried shape; each located cell is a corner of the carried shape, so
+    # it goes back, and the re-check refuses the candidate
     deck = Deck.from_text(
         "deck k=1 n=6 size=3\n1 2 / 3 4 / 5\n1 2 4 / 3 5\n1 3 4 / 2 5"
     )
     assert reconstruct_from_set(deck) == Invalid(
-        "cell (2, 2) is not addable to shape (3, 2)"
+        "reconstructed candidate has a different deck"
     )
+
+
+def test_carried_shape_is_lemma_3_1_on_every_level(monkeypatch):
+    # the loop runs _shape on its input alone and carries the shape down;
+    # on a genuine deck, the shape it locates n in at each level must be
+    # the one Lemma 3.1 gives on that level's members
+    real_tops, real_locate = reconstruct_module._tops, reconstruct_module._locate
+    seen = []
+
+    def tops(n, level, width):
+        seen.append((n, set(level.values())))
+        return real_tops(n, level, width)
+
+    def locate(n, shape, tops):
+        seen[-1] += (shape,)
+        return real_locate(n, shape, tops)
+
+    monkeypatch.setattr(reconstruct_module, "_tops", tops)
+    monkeypatch.setattr(reconstruct_module, "_locate", locate)
+    levels = Counter()
+    for n in range(5, 10):
+        for t in enumerate_syt_all(n):
+            for run, deck in (
+                (reconstruct_from_set, minor_set(t, 1)),
+                (reconstruct_from_multiset, minor_multiset(t, 1)),
+            ):
+                seen.clear()
+                assert run(deck) == Unique(t)
+                for m, shapes, carried in seen:
+                    assert carried == _shape(m, shapes), (t.to_text(), m)
+                levels["top" if len(seen) == 1 else "deeper"] += 1
+                levels["below the top"] += len(seen) - 1
+    # 7,436 decks, 1,952 levels below the top checked
+    assert levels == {"top": 5864, "deeper": 1572, "below the top": 1952}
